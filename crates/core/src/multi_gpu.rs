@@ -103,13 +103,17 @@ pub fn partitioned_admm_update(
     u: &mut Mat,
 ) -> Result<Vec<AdmmStats>, crate::recovery::AdmmError> {
     let parts = row_partitions(m.rows(), devices.len());
-    partitioned_admm_update_ranges(devices, cfg, &parts, m, s, h, u)
+    let refs: Vec<&Device> = devices.iter().collect();
+    partitioned_admm_update_on(&refs, cfg, &parts, m, s, h, u)
 }
 
 /// [`partitioned_admm_update`] over caller-chosen row `ranges` (one per
-/// device; must be disjoint and in-bounds). Partitions run concurrently on
-/// the worker pool, each metered on its own device; outputs are staged and
-/// committed only after all partitions succeed.
+/// device; must be disjoint and in-bounds) on borrowed devices — the form
+/// the elastic sharded driver needs, since a survivor subset of a
+/// [`DeviceGroup`](cstf_device::DeviceGroup) is not contiguous in the
+/// group's device vector. Partitions run concurrently on the worker pool,
+/// each metered on its own device; outputs are staged and committed only
+/// after all partitions succeed.
 ///
 /// # Errors
 /// Returns the lowest-partition-index error with `h`/`u` untouched.
@@ -117,29 +121,6 @@ pub fn partitioned_admm_update(
 /// # Panics
 /// Panics if `devices` is empty, `ranges.len() != devices.len()`, or
 /// `cfg.tol != 0.0`.
-pub fn partitioned_admm_update_ranges(
-    devices: &[Device],
-    cfg: &AdmmConfig,
-    ranges: &[std::ops::Range<usize>],
-    m: &Mat,
-    s: &Mat,
-    h: &mut Mat,
-    u: &mut Mat,
-) -> Result<Vec<AdmmStats>, crate::recovery::AdmmError> {
-    let refs: Vec<&Device> = devices.iter().collect();
-    partitioned_admm_update_on(&refs, cfg, ranges, m, s, h, u)
-}
-
-/// [`partitioned_admm_update_ranges`] over borrowed devices — the form the
-/// elastic sharded driver needs, since a survivor subset of a
-/// [`DeviceGroup`](cstf_device::DeviceGroup) is not contiguous in the
-/// group's device vector.
-///
-/// # Errors
-/// Returns the lowest-partition-index error with `h`/`u` untouched.
-///
-/// # Panics
-/// As [`partitioned_admm_update_ranges`].
 pub fn partitioned_admm_update_on(
     devices: &[&Device],
     cfg: &AdmmConfig,

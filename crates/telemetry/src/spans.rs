@@ -180,9 +180,13 @@ mod tests {
 
     /// Serializes span tests within this binary: the enable flag and the
     /// buffers are process-wide.
-    fn with_spans<R>(f: impl FnOnce() -> R) -> R {
+    fn gate() -> std::sync::MutexGuard<'static, ()> {
         static GATE: std::sync::Mutex<()> = std::sync::Mutex::new(());
-        let _g = GATE.lock().unwrap_or_else(|e| e.into_inner());
+        GATE.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
+    fn with_spans<R>(f: impl FnOnce() -> R) -> R {
+        let _g = gate();
         clear();
         set_spans_enabled(true);
         let out = f();
@@ -193,6 +197,7 @@ mod tests {
 
     #[test]
     fn disabled_spans_record_nothing() {
+        let _g = gate();
         set_spans_enabled(false);
         {
             let _s = Span::enter("noop");
