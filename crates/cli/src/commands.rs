@@ -6,16 +6,17 @@ use cstf_core::admm::AdmmConfig;
 use cstf_core::auntf::TensorFormat;
 use cstf_core::hybrid::{recommend_placement, Placement, WorkloadShape};
 use cstf_core::{
-    Auntf, AuntfConfig, CheckpointConfig, Constraint, HalsConfig, MuConfig, UpdateMethod,
+    Auntf, AuntfConfig, CheckpointConfig, Constraint, FactorizeOutput, HalsConfig, MuConfig,
+    UpdateMethod,
 };
 use cstf_device::{
-    compare_baselines, compare_measured_band, Device, DeviceGroup, DeviceSpec, FaultPlan,
-    KernelBaseline, KernelClass, KernelCost, LinkModel, PerfBaseline, Phase, RunCapture,
+    compare_baselines, compare_measured_band, Device, DeviceGroup, DeviceSpec, DeviceTrace,
+    FaultPlan, KernelBaseline, KernelClass, KernelCost, LinkModel, PerfBaseline, Phase, RunCapture,
 };
 use cstf_telemetry::json;
 use cstf_telemetry::{
-    convergence, spans, Footprint, HeapSummary, IterationRecord, MemoryFootprint, Registry,
-    RunSummary,
+    convergence, spans, Footprint, HeapSummary, MemoryFootprint, PhaseSummary, Registry,
+    RunSummary, SpanRecord,
 };
 use cstf_tensor::SparseTensor;
 
@@ -72,6 +73,12 @@ impl std::error::Error for CliError {}
 impl From<ArgError> for CliError {
     fn from(e: ArgError) -> Self {
         CliError::Args(e)
+    }
+}
+
+impl From<std::io::Error> for CliError {
+    fn from(e: std::io::Error) -> Self {
+        CliError::Input(e.to_string())
     }
 }
 
@@ -137,9 +144,11 @@ pub fn help_text() -> String {
        --device D           cpu|a100|h100             (default h100)\n\
        --seed N             RNG seed                  (default 0)\n\
        --json               emit a JSON report instead of text\n\
-       --trace FILE         write a chrome://tracing kernel timeline\n\
-       --telemetry DIR      write run.json, events.jsonl, trace.json and\n\
-                            metrics.prom into DIR (then: cstf report DIR)\n\
+       --trace FILE         write the Perfetto / chrome://tracing timeline\n\
+                            (the same document as --telemetry's trace.json)\n\
+       --telemetry DIR      write run.json, events.jsonl, ops.jsonl,\n\
+                            trace.json and metrics.prom (+ devices.json\n\
+                            with --gpus N) into DIR (then: cstf report DIR)\n\
      \n\
      MULTI-GPU (factorize):\n\
        --gpus N             shard across N simulated devices   (default 1)\n\
@@ -213,6 +222,11 @@ pub fn help_text() -> String {
         .to_string()
 }
 
+/// The error for option `--key` whose `value` is not a valid `expected`.
+fn bad_value(key: &str, value: &str, expected: &'static str) -> CliError {
+    CliError::Args(ArgError::BadValue { key: key.into(), value: value.into(), expected })
+}
+
 fn load_tensor(p: &ParsedArgs) -> Result<SparseTensor, CliError> {
     if let Some(path) = p.options.get("input") {
         cstf_tensor::read_tns_file(path)
@@ -230,13 +244,7 @@ fn load_tensor(p: &ParsedArgs) -> Result<SparseTensor, CliError> {
 fn parse_constraint(text: &str) -> Result<Constraint, CliError> {
     let mut parts = text.split(':');
     let head = parts.next().unwrap_or("");
-    let bad = |expected: &'static str| {
-        CliError::Args(ArgError::BadValue {
-            key: "constraint".into(),
-            value: text.into(),
-            expected,
-        })
-    };
+    let bad = |expected: &'static str| bad_value("constraint", text, expected);
     match head {
         "nonneg" => Ok(Constraint::NonNegative),
         "simplex" => Ok(Constraint::Simplex),
@@ -266,11 +274,7 @@ fn parse_device(text: &str) -> Result<DeviceSpec, CliError> {
         "cpu" | "xeon" => Ok(DeviceSpec::icelake_xeon()),
         "a100" => Ok(DeviceSpec::a100()),
         "h100" => Ok(DeviceSpec::h100()),
-        _ => Err(CliError::Args(ArgError::BadValue {
-            key: "device".into(),
-            value: text.into(),
-            expected: "cpu|a100|h100",
-        })),
+        _ => Err(bad_value("device", text, "cpu|a100|h100")),
     }
 }
 
@@ -282,11 +286,7 @@ fn parse_format(text: &str) -> Result<TensorFormat, CliError> {
         "hicoo" => Ok(TensorFormat::HiCoo),
         "alto" => Ok(TensorFormat::Alto),
         "blco" => Ok(TensorFormat::Blco),
-        _ => Err(CliError::Args(ArgError::BadValue {
-            key: "format".into(),
-            value: text.into(),
-            expected: "coo|csf|csf1|hicoo|alto|blco",
-        })),
+        _ => Err(bad_value("format", text, "coo|csf|csf1|hicoo|alto|blco")),
     }
 }
 
@@ -317,13 +317,7 @@ fn build_setup(p: &ParsedArgs) -> Result<RunSetup, CliError> {
         "admm" => UpdateMethod::Admm(AdmmConfig { constraint, ..AdmmConfig::generic() }),
         "mu" => UpdateMethod::Mu(MuConfig::default()),
         "hals" => UpdateMethod::Hals(HalsConfig::default()),
-        other => {
-            return Err(CliError::Args(ArgError::BadValue {
-                key: "update".into(),
-                value: other.into(),
-                expected: "cuadmm|cuadmm-fused|admm|mu|hals",
-            }))
-        }
+        other => return Err(bad_value("update", other, "cuadmm|cuadmm-fused|admm|mu|hals")),
     };
     let format_name = p.get_or("format", "blco").to_string();
     let cfg = AuntfConfig {
@@ -337,7 +331,7 @@ fn build_setup(p: &ParsedArgs) -> Result<RunSetup, CliError> {
         ..Default::default()
     };
     let spec = parse_device(p.get_or("device", "h100"))?;
-    let gpus = p.parse_or("gpus", 1usize, "integer")?;
+    let gpus = p.parse_or("gpus", 1usize, "integer")?.max(1);
     let nvlink_gbs = p.parse_or("nvlink", 300.0f64, "number")?;
     Ok(RunSetup { cfg, spec, gpus, nvlink_gbs, rank, update_name, format_name })
 }
@@ -358,55 +352,24 @@ fn dataset_label(p: &ParsedArgs) -> String {
 }
 
 fn cmd_factorize(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
-    let RunSetup { mut cfg, spec, gpus, nvlink_gbs, rank, format_name, .. } = build_setup(p)?;
+    let setup = build_setup(p)?;
     let budget = parse_memory_budget(p)?;
-    let trace_path = p.options.get("trace").cloned();
-    let telemetry_dir = p.options.get("telemetry").cloned();
-    let fault_plan = match p.options.get("faults") {
-        Some(spec) => Some(
-            cstf_device::FaultPlan::parse(spec)
-                .map_err(|e| CliError::Input(format!("bad --faults spec: {e}")))?,
-        ),
-        None => None,
-    };
+    let trace_path = p.options.get("trace");
+    let telemetry_dir = p.options.get("telemetry");
+    let fault_plan = p.options.get("faults").map(|spec| FaultPlan::parse(spec)).transpose();
+    let fault_plan = fault_plan.map_err(|e| CliError::Input(format!("bad --faults spec: {e}")))?;
     let ckpt_every = p.parse_or("checkpoint-every", 5usize, "integer")?;
     let ckpt_cfg = p.options.get("checkpoint").map(|dir| CheckpointConfig::new(dir, ckpt_every));
     let resume = p.has_flag("resume");
     if resume && ckpt_cfg.is_none() {
         return Err(ArgError::MissingOption("checkpoint (required by --resume)").into());
     }
-    if gpus > 1 {
-        if budget.is_some() || cfg.tiles > 1 {
-            return Err(CliError::Input(
-                "--memory-budget/--tiles stream tiles through a single device; \
-                 combine them with --gpus 1"
-                    .into(),
-            ));
-        }
-        let x = load_tensor(p)?;
-        return cmd_factorize_sharded(
-            x,
-            cfg,
-            spec,
-            fault_plan,
-            ckpt_cfg,
-            resume,
-            trace_path,
-            telemetry_dir,
-            gpus,
-            nvlink_gbs,
-            p.has_flag("json"),
-            out,
-        );
-    }
-    // Retain per-kernel records only when an artifact consumer needs them.
-    let mut dev = if trace_path.is_some() || telemetry_dir.is_some() {
-        Device::with_records(spec.clone())
-    } else {
-        Device::new(spec.clone())
-    };
-    if let Some(plan) = fault_plan {
-        dev = dev.with_fault_plan(plan);
+    if setup.gpus > 1 && (budget.is_some() || setup.cfg.tiles > 1) {
+        return Err(CliError::Input(
+            "--memory-budget/--tiles stream tiles through a single device; \
+             combine them with --gpus 1"
+                .into(),
+        ));
     }
     if telemetry_dir.is_some() {
         spans::clear();
@@ -418,9 +381,10 @@ fn cmd_factorize(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     // `--tiles K > 1` with `--input` streams construction tile-by-tile
     // instead (the full COO is never materialized).
     let t0 = std::time::Instant::now();
+    let mut cfg = setup.cfg.clone();
     let auntf = if let Some(b) = budget {
         let x = load_tensor(p)?;
-        cfg.tiles = cfg.tiles.max(resolve_budget_tiles(&x, &format_name, rank, b)?);
+        cfg.tiles = cfg.tiles.max(resolve_budget_tiles(&x, &setup.format_name, setup.rank, b)?);
         Auntf::new(x, cfg)
     } else if cfg.tiles > 1 && p.options.contains_key("input") {
         let path = p.options.get("input").unwrap();
@@ -429,79 +393,250 @@ fn cmd_factorize(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     } else {
         Auntf::new(load_tensor(p)?, cfg)
     };
-    let shape = auntf.shape();
-    let nnz = auntf.nnz();
-    let result = match &ckpt_cfg {
-        Some(cc) => auntf.factorize_checkpointed(&dev, cc, resume)?,
-        None => auntf.factorize(&dev)?,
-    };
+    // Retain per-kernel records only when an artifact consumer needs them.
+    let devices = build_devices(&setup, trace_path.is_some() || telemetry_dir.is_some());
+    let ckpt = ckpt_cfg.as_ref().map(|cc| (cc, resume));
+    let (result, captures) = solve(&auntf, &setup, devices, fault_plan.as_ref(), ckpt)?;
     let wall = t0.elapsed().as_secs_f64();
+    let span_records = if telemetry_dir.is_some() {
+        cstf_telemetry::set_spans_enabled(false);
+        spans::drain()
+    } else {
+        Vec::new()
+    };
+    let run = RunReport::new(&setup, &auntf, result, captures, wall);
 
-    if let Some(path) = &trace_path {
-        let records = dev.records();
+    if let Some(path) = trace_path {
         let file = std::fs::File::create(path)
             .map_err(|e| CliError::Input(format!("cannot create trace file {path}: {e}")))?;
-        cstf_device::write_chrome_trace(&records, std::io::BufWriter::new(file))
+        run.write_trace(&span_records, std::io::BufWriter::new(file))
             .map_err(|e| CliError::Input(format!("trace write failed: {e}")))?;
         eprintln!("[chrome trace written to {path}; open in chrome://tracing or Perfetto]");
     }
-
-    let rec = &result.recovery;
     if p.has_flag("json") {
-        let recovery_json = json!({
-            "clean": rec.is_clean(),
-            "transient_retries": rec.transient_retries,
-            "nan_events": rec.nan_events,
-            "cholesky_retries": rec.cholesky_retries,
-            "transfer_retries": rec.transfer_retries,
-            "degraded_to_unfused": rec.degraded_to_unfused,
-        });
-        let report = json!({
-            "recovery": recovery_json,
-            "shape": shape.clone(),
-            "nnz": nnz,
-            "rank": rank,
-            "iterations": result.iters,
-            "converged": result.converged,
-            "fits": result.fits,
-            "final_fit": result.fits.last(),
-            "lambda": result.model.lambda.clone(),
-            "factor_checksum": factor_checksum(&result.model),
-            "gpus": 1,
-            "tiles": result.tiling.tiles,
-            "tiling": json!({
-                "tiles": result.tiling.tiles,
-                "tile_transfers": result.tiling.tile_transfers,
-                "streamed_bytes": result.tiling.streamed_bytes,
-                "transfer_raw_seconds": result.tiling.transfer_raw_s,
-                "transfer_exposed_seconds": result.tiling.transfer_exposed_s,
-                "transfer_hidden_seconds": result.tiling.hidden_s(),
-            }),
-            "wall_seconds": wall,
-            "modeled_seconds": dev.total_seconds(),
-            "measured_seconds": dev.total_measured_seconds(),
-            "device": dev.spec().name,
-            "phases": dev.phases().iter().map(|(ph, t)| {
-                json!({"phase": ph.label(), "seconds": t.seconds, "measured_seconds": t.measured_s, "launches": t.launches})
+        writeln!(out, "{}", run.json().pretty())?;
+    } else {
+        run.write_text(out)?;
+    }
+    if let Some(dir) = telemetry_dir {
+        run.write_artifacts(dir, &span_records)?;
+        eprintln!("[telemetry artifacts written to {dir}; render with `cstf report {dir}`]");
+    }
+    Ok(())
+}
+
+/// The `--gpus` devices of a run, built the same way by every command that
+/// solves (`factorize`, `analyze`, `perf`). `record` retains per-kernel
+/// records for the trace and the op DAG.
+fn build_devices(setup: &RunSetup, record: bool) -> Vec<Device> {
+    let make = if record { Device::with_records } else { Device::new };
+    (0..setup.gpus).map(|_| make(setup.spec.clone())).collect()
+}
+
+/// Runs the factorization on `devices` and returns its output with one
+/// capture per device (index = gpu). One device runs the single-device
+/// driver, which keeps its own kernel names; a group runs the elastic
+/// sharded driver over an NVLink-modeled interconnect. Fault injection
+/// follows the placement: one device takes the whole plan, a group
+/// distributes it (stochastic kinds on device 0, group-scoped kinds such
+/// as `device-loss:D@itN`, `straggler:DxF` and `link-degrade:A-BxF` on
+/// their named targets).
+fn solve(
+    auntf: &Auntf,
+    setup: &RunSetup,
+    mut devices: Vec<Device>,
+    faults: Option<&FaultPlan>,
+    ckpt: Option<(&CheckpointConfig, bool)>,
+) -> Result<(FactorizeOutput, Vec<RunCapture>), CliError> {
+    if devices.len() == 1 {
+        let mut dev = devices.remove(0);
+        if let Some(plan) = faults {
+            dev = dev.with_fault_plan(plan.clone());
+        }
+        let result = match ckpt {
+            Some((cc, resume)) => auntf.factorize_checkpointed(&dev, cc, resume)?,
+            None => auntf.factorize(&dev)?,
+        };
+        return Ok((result, vec![dev.take_run()]));
+    }
+    let link = LinkModel { bandwidth_gbs: setup.nvlink_gbs, latency_us: 10.0 };
+    let mut group = DeviceGroup::new(devices, link);
+    if let Some(plan) = faults {
+        group = group.with_faults(plan);
+    }
+    let result = match ckpt {
+        Some((cc, resume)) => auntf.factorize_sharded_checkpointed(&group, cc, resume)?,
+        None => auntf.factorize_sharded(&group)?,
+    };
+    Ok((result, group.devices().iter().map(Device::take_run).collect()))
+}
+
+/// One finished `factorize` run, read the same way for every group size.
+/// Each figure has one formula: the members run concurrently, so the
+/// slowest device sets the modeled time and its phase rows (which sum to
+/// that time) are the run's; measured host time sums over devices. The
+/// `--json` and text reports, `--trace`, `run.json` and the telemetry
+/// directory all render from it; group-only output
+/// (`elasticity`, `nvlink_gbs`, per-device rows, `devices.json`) appears
+/// exactly when `gpus > 1`.
+struct RunReport<'a> {
+    setup: &'a RunSetup,
+    shape: Vec<usize>,
+    nnz: usize,
+    result: FactorizeOutput,
+    captures: Vec<RunCapture>,
+    wall: f64,
+    modeled: f64,
+    measured: f64,
+    transfer: f64,
+    phases: Vec<PhaseSummary>,
+    /// The causal op DAG of the retained records (empty without records).
+    ops: Vec<cstf_device::OpSpec>,
+    dag: cstf_device::DagAnalysis,
+}
+
+impl<'a> RunReport<'a> {
+    fn new(
+        setup: &'a RunSetup,
+        auntf: &Auntf,
+        result: FactorizeOutput,
+        captures: Vec<RunCapture>,
+        wall: f64,
+    ) -> Self {
+        // The first device of the largest modeled total (device 0 on ties).
+        let by_total =
+            |a: &&RunCapture, b: &&RunCapture| a.total_seconds().total_cmp(&b.total_seconds());
+        let slowest = captures.iter().rev().max_by(by_total).expect("at least one device");
+        let ops: Vec<cstf_device::OpSpec> = captures
+            .iter()
+            .enumerate()
+            .flat_map(|(d, c)| cstf_device::ops_from_records(d, &c.records))
+            .collect();
+        RunReport {
+            setup,
+            shape: auntf.shape(),
+            nnz: auntf.nnz(),
+            modeled: slowest.total_seconds(),
+            measured: captures.iter().map(RunCapture::total_measured_seconds).sum(),
+            transfer: slowest.phase(Phase::Transfer).seconds,
+            phases: cstf_device::phase_summaries(slowest),
+            dag: cstf_device::analyze(&ops),
+            ops,
+            result,
+            captures,
+            wall,
+        }
+    }
+
+    fn group(&self) -> bool {
+        self.setup.gpus > 1
+    }
+
+    /// One row per device; `phase_row` renders each of its phases.
+    fn device_rows(&self, phase_row: impl Fn(&PhaseSummary) -> json::Value) -> Vec<json::Value> {
+        self.captures
+            .iter()
+            .enumerate()
+            .map(|(gpu, c)| {
+                let phases = cstf_device::phase_summaries(c);
+                json!({
+                    "gpu": gpu,
+                    "modeled_seconds": c.total_seconds(),
+                    "collective_bytes": c.phase(Phase::Transfer).bytes,
+                    "phases": phases.iter().map(&phase_row).collect::<Vec<_>>(),
+                })
+            })
+            .collect()
+    }
+
+    /// The stdout `--json` report.
+    fn json(&self) -> json::Value {
+        let (r, rec, t) = (&self.result, &self.result.recovery, &self.result.tiling);
+        let mut report = json!({
+            "recovery": {
+                "clean": rec.is_clean(),
+                "transient_retries": rec.transient_retries,
+                "nan_events": rec.nan_events,
+                "cholesky_retries": rec.cholesky_retries,
+                "transfer_retries": rec.transfer_retries,
+                "degraded_to_unfused": rec.degraded_to_unfused,
+            },
+            "shape": self.shape.clone(),
+            "nnz": self.nnz,
+            "rank": self.setup.rank,
+            "iterations": r.iters,
+            "converged": r.converged,
+            "fits": r.fits,
+            "final_fit": r.fits.last(),
+            "lambda": r.model.lambda.clone(),
+            "factor_checksum": factor_checksum(&r.model),
+            "gpus": self.setup.gpus,
+            "tiles": t.tiles,
+            "tiling": {
+                "tiles": t.tiles,
+                "tile_transfers": t.tile_transfers,
+                "streamed_bytes": t.streamed_bytes,
+                "transfer_raw_seconds": t.transfer_raw_s,
+                "transfer_exposed_seconds": t.transfer_exposed_s,
+                "transfer_hidden_seconds": t.hidden_s(),
+            },
+            "wall_seconds": self.wall,
+            "modeled_seconds": self.modeled,
+            "measured_seconds": self.measured,
+            "device": self.setup.spec.name,
+            "phases": self.phases.iter().map(|ph| {
+                json!({"phase": ph.phase, "seconds": ph.modeled_s, "measured_seconds": ph.measured_s, "launches": ph.launches})
             }).collect::<Vec<_>>(),
         });
-        writeln!(out, "{}", report.pretty()).map_err(|e| CliError::Input(e.to_string()))?;
-    } else {
-        writeln!(out, "tensor {shape:?}, nnz {nnz}").map_err(|e| CliError::Input(e.to_string()))?;
-        writeln!(out, "rank {rank}, {} iterations, converged: {}", result.iters, result.converged)
-            .map_err(|e| CliError::Input(e.to_string()))?;
-        if result.tiling.is_tiled() {
+        if self.group() {
+            let ela = &r.elasticity;
+            report["elasticity"] = json!({
+                "clean": ela.is_clean(),
+                "loss_detections": ela.loss_detections,
+                "loss_retries": ela.loss_retries,
+                "reshards": ela.reshards,
+                "backoff_seconds": ela.backoff_s,
+                "deadline_trips": ela.deadline_trips.clone(),
+                "retired": ela.retired.iter().map(|r| {
+                    json!({ "device": r.device, "iteration": r.iteration })
+                }).collect::<Vec<_>>(),
+            });
+            report["nvlink_gbs"] = json!(self.setup.nvlink_gbs);
+            report["devices"] = json::Value::Array(self.device_rows(
+                |ph| json!({"phase": ph.phase, "seconds": ph.modeled_s, "launches": ph.launches}),
+            ));
+        }
+        report
+    }
+
+    /// The human-readable report.
+    fn write_text(&self, out: &mut dyn Write) -> std::io::Result<()> {
+        let (r, rec, ela, spec) =
+            (&self.result, &self.result.recovery, &self.result.elasticity, &self.setup.spec);
+        writeln!(out, "tensor {:?}, nnz {}", self.shape, self.nnz)?;
+        if self.group() {
+            writeln!(
+                out,
+                "sharded across {} simulated {} devices (link {} GB/s)",
+                self.setup.gpus, spec.name, self.setup.nvlink_gbs
+            )?;
+        }
+        writeln!(
+            out,
+            "rank {}, {} iterations, converged: {}",
+            self.setup.rank, r.iters, r.converged
+        )?;
+        if r.tiling.is_tiled() {
             writeln!(
                 out,
                 "out-of-core: {} tiles/mode, {} tile copies, {:.3e} B streamed \
                  ({:.3e}s hidden behind compute, {:.3e}s exposed)",
-                result.tiling.tiles,
-                result.tiling.tile_transfers,
-                result.tiling.streamed_bytes,
-                result.tiling.hidden_s(),
-                result.tiling.transfer_exposed_s
-            )
-            .map_err(|e| CliError::Input(e.to_string()))?;
+                r.tiling.tiles,
+                r.tiling.tile_transfers,
+                r.tiling.streamed_bytes,
+                r.tiling.hidden_s(),
+                r.tiling.transfer_exposed_s
+            )?;
         }
         if !rec.is_clean() {
             writeln!(
@@ -513,64 +648,146 @@ fn cmd_factorize(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
                 rec.nan_events,
                 rec.cholesky_retries,
                 if rec.degraded_to_unfused { ", degraded to unfused ADMM" } else { "" }
-            )
-            .map_err(|e| CliError::Input(e.to_string()))?;
+            )?;
         }
-        if let Some(fit) = result.fits.last() {
-            writeln!(out, "final fit: {fit:.6}").map_err(|e| CliError::Input(e.to_string()))?;
+        if !ela.is_clean() {
+            let retired: Vec<String> =
+                ela.retired.iter().map(|r| format!("gpu{}@it{}", r.device, r.iteration)).collect();
+            let retired = if retired.is_empty() { "none".to_string() } else { retired.join(", ") };
+            writeln!(
+                out,
+                "elasticity: {} loss detections, {} retries ({:.3e}s backoff), \
+                 {} reshards; retired: {retired}; deadline trips {:?}",
+                ela.loss_detections,
+                ela.loss_retries,
+                ela.backoff_s,
+                ela.reshards,
+                ela.deadline_trips
+            )?;
         }
+        if let Some(fit) = r.fits.last() {
+            writeln!(out, "final fit: {fit:.6}")?;
+        }
+        let placement = if self.group() { "group" } else { spec.name };
         writeln!(
             out,
-            "wall time: {wall:.3}s, modeled {} time: {:.3e}s",
-            dev.spec().name,
-            dev.total_seconds()
-        )
-        .map_err(|e| CliError::Input(e.to_string()))?;
-        for (ph, t) in dev.phases() {
-            writeln!(out, "  {:<10} {:>10.3e}s ({} launches)", ph.label(), t.seconds, t.launches)
-                .map_err(|e| CliError::Input(e.to_string()))?;
+            "wall time: {:.3}s, modeled {placement} time: {:.3e}s",
+            self.wall, self.modeled
+        )?;
+        for ph in &self.phases {
+            writeln!(
+                out,
+                "  {:<10} {:>10.3e}s ({} launches)",
+                ph.phase, ph.modeled_s, ph.launches
+            )?;
+        }
+        if self.group() {
+            for (d, c) in self.captures.iter().enumerate() {
+                let (mttkrp, coll) = (c.phase(Phase::Mttkrp), c.phase(Phase::Transfer));
+                writeln!(
+                    out,
+                    "  gpu{d}: total {:>10.3e}s  MTTKRP {:>10.3e}s ({} launches)  collectives {:.2e} B",
+                    c.total_seconds(),
+                    mttkrp.seconds,
+                    mttkrp.launches,
+                    coll.bytes
+                )?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The Perfetto timeline: one process per device, the critical path,
+    /// then the host spans. `--trace FILE` and the telemetry `trace.json`
+    /// are this one document.
+    fn write_trace(&self, spans: &[SpanRecord], w: impl Write) -> std::io::Result<()> {
+        let devices: Vec<DeviceTrace> = self.captures.iter().map(DeviceTrace::from).collect();
+        cstf_device::write_trace(&devices, spans, &self.dag.chain_refs(), w)
+    }
+
+    /// The `run.json` summary.
+    fn summary(&self) -> RunSummary {
+        let (r, ela) = (&self.result, &self.result.elasticity);
+        let gpus = self.setup.gpus;
+        RunSummary {
+            schema_version: cstf_telemetry::summary::SCHEMA_VERSION,
+            system: if self.group() { format!("cstf-cli x{gpus}") } else { "cstf-cli".into() },
+            device: self.setup.spec.name.to_string(),
+            shape: self.shape.clone(),
+            nnz: self.nnz as u64,
+            rank: self.setup.rank as u32,
+            iterations: r.iters as u32,
+            converged: r.converged,
+            fits: r.fits.clone(),
+            final_fit: r.fits.last().copied(),
+            wall_s: self.wall,
+            modeled_s: self.modeled,
+            measured_s: self.measured,
+            transfer_s: self.transfer,
+            phases: self.phases.clone(),
+            heap: Some(HeapSummary::capture()),
+            tiling: tiling_summary(&r.tiling),
+            elasticity: self.group().then(|| cstf_telemetry::ElasticitySummary {
+                gpus: gpus as u64,
+                loss_detections: u64::from(ela.loss_detections),
+                loss_retries: u64::from(ela.loss_retries),
+                reshards: u64::from(ela.reshards),
+                backoff_s: ela.backoff_s,
+                retired: ela
+                    .retired
+                    .iter()
+                    .map(|r| cstf_telemetry::RetiredDevice {
+                        device: r.device as u64,
+                        iteration: r.iteration as u64,
+                    })
+                    .collect(),
+            }),
         }
     }
 
-    // Last: `take_run` empties the device, so every consumer above must
-    // already have read what it needs.
-    if let Some(dir) = &telemetry_dir {
-        cstf_telemetry::set_spans_enabled(false);
-        let span_records = spans::drain();
-        let capture = dev.take_run();
-        let summary = RunSummary {
-            schema_version: cstf_telemetry::summary::SCHEMA_VERSION,
-            system: "cstf-cli".to_string(),
-            device: spec.name.to_string(),
-            shape,
-            nnz: nnz as u64,
-            rank: rank as u32,
-            iterations: result.iters as u32,
-            converged: result.converged,
-            fits: result.fits.clone(),
-            final_fit: result.fits.last().copied(),
-            wall_s: wall,
-            modeled_s: capture.total_seconds(),
-            measured_s: capture.total_measured_seconds(),
-            transfer_s: capture.phase(Phase::Transfer).seconds,
-            phases: cstf_device::phase_summaries(&capture),
-            heap: Some(HeapSummary::capture()),
-            tiling: tiling_summary(&result.tiling),
-            elasticity: None,
+    /// Writes the telemetry directory (created if absent): `run.json`,
+    /// `events.jsonl` (per-iteration convergence records), `ops.jsonl` (the
+    /// op DAG), `trace.json` (as `--trace`), `metrics.prom` (Prometheus
+    /// text exposition) and, for a group, `devices.json`.
+    fn write_artifacts(&self, dir: &str, spans: &[SpanRecord]) -> Result<(), CliError> {
+        let root = std::path::Path::new(dir);
+        std::fs::create_dir_all(root)
+            .map_err(|e| CliError::Input(format!("cannot create telemetry dir {dir}: {e}")))?;
+        let artifact = |name: &str, body: &dyn Fn(&mut dyn Write) -> std::io::Result<()>| {
+            std::fs::File::create(root.join(name))
+                .and_then(|f| {
+                    let mut w = std::io::BufWriter::new(f);
+                    body(&mut w)?;
+                    w.flush()
+                })
+                .map_err(|e| CliError::Input(format!("telemetry artifact {name}: {e}")))
         };
-        let iterations = result.convergence.records();
-        write_telemetry_artifacts(
-            dir,
-            &summary,
-            &iterations,
-            &capture,
-            &span_records,
-            &spec,
-            Some(&result.tiling),
-        )?;
-        eprintln!("[telemetry artifacts written to {dir}; render with `cstf report {dir}`]");
+        artifact("run.json", &|w| write!(w, "{}", self.summary().to_json_pretty()))?;
+        let iterations = self.result.convergence.records();
+        artifact("events.jsonl", &|w| convergence::write_jsonl(&iterations, w))?;
+        artifact("ops.jsonl", &|w| cstf_device::write_ops_jsonl(&self.ops, w))?;
+        artifact("trace.json", &|w| self.write_trace(spans, w))?;
+        let refs: Vec<&RunCapture> = self.captures.iter().collect();
+        let registry = cstf_device::registry_from_captures(&refs, &self.setup.spec);
+        add_tiling_metrics(&registry, &self.result.tiling);
+        add_group_metrics(&registry, &self.result.elasticity);
+        add_critical_path_metrics(&registry, &self.dag);
+        artifact("metrics.prom", &|w| write!(w, "{}", registry.to_prometheus()))?;
+        if self.group() {
+            let rows = self.device_rows(|ph| {
+                json!({
+                    "phase": ph.phase,
+                    "modeled_s": ph.modeled_s,
+                    "launches": ph.launches,
+                    "flops": ph.flops,
+                    "bytes": ph.bytes,
+                })
+            });
+            let doc = json!({ "gpus": self.setup.gpus, "devices": rows });
+            artifact("devices.json", &|w| write!(w, "{}", doc.pretty()))?;
+        }
+        Ok(())
     }
-    Ok(())
 }
 
 /// FNV-1a over the factor and weight bit patterns — two runs produce the
@@ -593,322 +810,6 @@ fn factor_checksum(model: &cstf_tensor::Ktensor) -> String {
         feed(&mut h, v.to_bits());
     }
     format!("{h:016x}")
-}
-
-/// The `--gpus N` execution path: builds a homogeneous [`DeviceGroup`]
-/// joined by an NVLink-modeled interconnect and runs the elastic sharded
-/// factorization. Fault injection (`--faults`) is distributed across the
-/// group: stochastic kinds land on device 0, group-scoped faults
-/// (`device-loss:D@itN`, `straggler:DxF`, `link-degrade:A-BxF`) on their
-/// named targets. The run's [`ElasticityReport`] — detections, deadline
-/// trips, reshards, retire iterations — is surfaced in both output forms
-/// and as `cstf_group_*` metrics.
-#[allow(clippy::too_many_arguments)]
-fn cmd_factorize_sharded(
-    x: SparseTensor,
-    cfg: AuntfConfig,
-    spec: DeviceSpec,
-    fault_plan: Option<FaultPlan>,
-    ckpt_cfg: Option<CheckpointConfig>,
-    resume: bool,
-    trace_path: Option<String>,
-    telemetry_dir: Option<String>,
-    gpus: usize,
-    nvlink_gbs: f64,
-    json: bool,
-    out: &mut dyn Write,
-) -> Result<(), CliError> {
-    let record = trace_path.is_some() || telemetry_dir.is_some();
-    let devices: Vec<Device> =
-        (0..gpus)
-            .map(|_| {
-                if record {
-                    Device::with_records(spec.clone())
-                } else {
-                    Device::new(spec.clone())
-                }
-            })
-            .collect();
-    let link = LinkModel { bandwidth_gbs: nvlink_gbs, latency_us: 10.0 };
-    let mut group = DeviceGroup::new(devices, link);
-    if let Some(plan) = &fault_plan {
-        group = group.with_faults(plan);
-    }
-    if telemetry_dir.is_some() {
-        spans::clear();
-        cstf_telemetry::set_spans_enabled(true);
-    }
-
-    let shape = x.shape().to_vec();
-    let nnz = x.nnz();
-    let rank = cfg.rank;
-    let t0 = std::time::Instant::now();
-    let auntf = Auntf::new(x, cfg);
-    let result = match &ckpt_cfg {
-        Some(cc) => auntf.factorize_sharded_checkpointed(&group, cc, resume)?,
-        None => auntf.factorize_sharded(&group)?,
-    };
-    let wall = t0.elapsed().as_secs_f64();
-
-    let span_records = if telemetry_dir.is_some() {
-        cstf_telemetry::set_spans_enabled(false);
-        spans::drain()
-    } else {
-        Vec::new()
-    };
-
-    if let Some(path) = &trace_path {
-        let per_dev: Vec<Vec<cstf_device::KernelRecord>> =
-            group.devices().iter().map(|d| d.records()).collect();
-        let marks: Vec<_> = group.devices().iter().map(|d| d.marks()).collect();
-        let faults: Vec<_> = group.devices().iter().map(|d| d.faults()).collect();
-        let file = std::fs::File::create(path)
-            .map_err(|e| CliError::Input(format!("cannot create trace file {path}: {e}")))?;
-        cstf_device::write_multi_device_full_trace(
-            &per_dev,
-            &marks,
-            &faults,
-            &span_records,
-            std::io::BufWriter::new(file),
-        )
-        .map_err(|e| CliError::Input(format!("trace write failed: {e}")))?;
-        eprintln!("[multi-device chrome trace written to {path}; one pid per gpu]");
-    }
-
-    // Modeled time across the group: devices run concurrently, so the
-    // iteration finishes when the slowest device does.
-    let modeled = group.devices().iter().map(|d| d.total_seconds()).fold(0.0, f64::max);
-    let rec = &result.recovery;
-    let ela = &result.elasticity;
-    if json {
-        let recovery_json = json!({
-            "clean": rec.is_clean(),
-            "transient_retries": rec.transient_retries,
-            "nan_events": rec.nan_events,
-            "cholesky_retries": rec.cholesky_retries,
-            "transfer_retries": rec.transfer_retries,
-            "degraded_to_unfused": rec.degraded_to_unfused,
-        });
-        let elasticity_json = json!({
-            "clean": ela.is_clean(),
-            "loss_detections": ela.loss_detections,
-            "loss_retries": ela.loss_retries,
-            "reshards": ela.reshards,
-            "backoff_seconds": ela.backoff_s,
-            "deadline_trips": ela.deadline_trips.clone(),
-            "retired": ela.retired.iter().map(|r| {
-                json!({ "device": r.device, "iteration": r.iteration })
-            }).collect::<Vec<_>>(),
-        });
-        let devices_json = group
-            .devices()
-            .iter()
-            .enumerate()
-            .map(|(d, dev)| {
-                let phases = dev
-                    .phases()
-                    .iter()
-                    .map(|(ph, t)| {
-                        json!({"phase": ph.label(), "seconds": t.seconds, "launches": t.launches})
-                    })
-                    .collect::<Vec<_>>();
-                json!({
-                    "gpu": d,
-                    "modeled_seconds": dev.total_seconds(),
-                    "collective_bytes": dev.phase_totals(Phase::Transfer).bytes,
-                    "phases": phases,
-                })
-            })
-            .collect::<Vec<_>>();
-        let report = json!({
-            "recovery": recovery_json,
-            "elasticity": elasticity_json,
-            "shape": shape.clone(),
-            "nnz": nnz,
-            "rank": rank,
-            "iterations": result.iters,
-            "converged": result.converged,
-            "fits": result.fits,
-            "final_fit": result.fits.last(),
-            "lambda": result.model.lambda.clone(),
-            "factor_checksum": factor_checksum(&result.model),
-            "gpus": gpus,
-            "nvlink_gbs": nvlink_gbs,
-            "wall_seconds": wall,
-            "modeled_seconds": modeled,
-            "device": spec.name,
-            "devices": devices_json,
-        });
-        writeln!(out, "{}", report.pretty()).map_err(|e| CliError::Input(e.to_string()))?;
-    } else {
-        let mut w = |s: String| writeln!(out, "{s}").map_err(|e| CliError::Input(e.to_string()));
-        w(format!("tensor {shape:?}, nnz {nnz}"))?;
-        w(format!(
-            "sharded across {gpus} simulated {} devices (link {nvlink_gbs} GB/s)",
-            spec.name
-        ))?;
-        w(format!("rank {rank}, {} iterations, converged: {}", result.iters, result.converged))?;
-        if !rec.is_clean() {
-            w(format!(
-                "recovery: {} launch retries, {} transfer retries, {} NaN events, \
-                 {} Cholesky retries{}",
-                rec.transient_retries,
-                rec.transfer_retries,
-                rec.nan_events,
-                rec.cholesky_retries,
-                if rec.degraded_to_unfused { ", degraded to unfused ADMM" } else { "" }
-            ))?;
-        }
-        if !ela.is_clean() {
-            let retired = if ela.retired.is_empty() {
-                "none".to_string()
-            } else {
-                ela.retired
-                    .iter()
-                    .map(|r| format!("gpu{}@it{}", r.device, r.iteration))
-                    .collect::<Vec<_>>()
-                    .join(", ")
-            };
-            w(format!(
-                "elasticity: {} loss detections, {} retries ({:.3e}s backoff), \
-                 {} reshards; retired: {retired}; deadline trips {:?}",
-                ela.loss_detections,
-                ela.loss_retries,
-                ela.backoff_s,
-                ela.reshards,
-                ela.deadline_trips
-            ))?;
-        }
-        if let Some(fit) = result.fits.last() {
-            w(format!("final fit: {fit:.6}"))?;
-        }
-        w(format!("wall time: {wall:.3}s, modeled group time: {modeled:.3e}s"))?;
-        for (d, dev) in group.devices().iter().enumerate() {
-            let mttkrp = dev.phase_totals(Phase::Mttkrp);
-            let coll = dev.phase_totals(Phase::Transfer);
-            w(format!(
-                "  gpu{d}: total {:>10.3e}s  MTTKRP {:>10.3e}s ({} launches)  collectives {:.2e} B",
-                dev.total_seconds(),
-                mttkrp.seconds,
-                mttkrp.launches,
-                coll.bytes
-            ))?;
-        }
-    }
-
-    // Telemetry artifacts: summary/metrics come from device 0 (the fault
-    // target and fit device); the trace interleaves every device.
-    if let Some(dir) = &telemetry_dir {
-        let captures: Vec<RunCapture> = group.devices().iter().map(|d| d.take_run()).collect();
-        let summary = RunSummary {
-            schema_version: cstf_telemetry::summary::SCHEMA_VERSION,
-            system: format!("cstf-cli x{gpus}"),
-            device: spec.name.to_string(),
-            shape,
-            nnz: nnz as u64,
-            rank: rank as u32,
-            iterations: result.iters as u32,
-            converged: result.converged,
-            fits: result.fits.clone(),
-            final_fit: result.fits.last().copied(),
-            wall_s: wall,
-            modeled_s: modeled,
-            measured_s: captures.iter().map(|c| c.total_measured_seconds()).sum(),
-            transfer_s: captures[0].phase(Phase::Transfer).seconds,
-            phases: cstf_device::phase_summaries(&captures[0]),
-            heap: Some(HeapSummary::capture()),
-            tiling: None,
-            elasticity: Some(cstf_telemetry::ElasticitySummary {
-                gpus: gpus as u64,
-                loss_detections: u64::from(ela.loss_detections),
-                loss_retries: u64::from(ela.loss_retries),
-                reshards: u64::from(ela.reshards),
-                backoff_s: ela.backoff_s,
-                retired: ela
-                    .retired
-                    .iter()
-                    .map(|r| cstf_telemetry::RetiredDevice {
-                        device: r.device as u64,
-                        iteration: r.iteration as u64,
-                    })
-                    .collect(),
-            }),
-        };
-        let iterations = result.convergence.records();
-        let root = std::path::Path::new(dir);
-        std::fs::create_dir_all(root)
-            .map_err(|e| CliError::Input(format!("cannot create telemetry dir {dir}: {e}")))?;
-        let io_err = |name: &str| {
-            let name = name.to_string();
-            move |e: std::io::Error| CliError::Input(format!("telemetry artifact {name}: {e}"))
-        };
-        std::fs::write(root.join("run.json"), summary.to_json_pretty())
-            .map_err(io_err("run.json"))?;
-        let events =
-            std::fs::File::create(root.join("events.jsonl")).map_err(io_err("events.jsonl"))?;
-        convergence::write_jsonl(&iterations, std::io::BufWriter::new(events))
-            .map_err(io_err("events.jsonl"))?;
-        let ops: Vec<cstf_device::OpSpec> = captures
-            .iter()
-            .enumerate()
-            .flat_map(|(d, c)| cstf_device::ops_from_records(d, &c.records))
-            .collect();
-        let ops_file =
-            std::fs::File::create(root.join("ops.jsonl")).map_err(io_err("ops.jsonl"))?;
-        cstf_device::write_ops_jsonl(&ops, std::io::BufWriter::new(ops_file))
-            .map_err(io_err("ops.jsonl"))?;
-        let dag = cstf_device::analyze(&ops);
-
-        let trace = std::fs::File::create(root.join("trace.json")).map_err(io_err("trace.json"))?;
-        let per_dev: Vec<Vec<cstf_device::KernelRecord>> =
-            captures.iter().map(|c| c.records.clone()).collect();
-        let marks: Vec<_> = captures.iter().map(|c| c.marks.clone()).collect();
-        let faults: Vec<_> = captures.iter().map(|c| c.faults.clone()).collect();
-        cstf_device::write_multi_device_full_trace_with_critical_path(
-            &per_dev,
-            &marks,
-            &faults,
-            &span_records,
-            &dag.chain_refs(),
-            std::io::BufWriter::new(trace),
-        )
-        .map_err(io_err("trace.json"))?;
-        let refs: Vec<&RunCapture> = captures.iter().collect();
-        let registry = cstf_device::registry_from_captures(&refs, &spec);
-        add_group_metrics(&registry, &result.elasticity);
-        add_critical_path_metrics(&registry, &dag);
-        std::fs::write(root.join("metrics.prom"), registry.to_prometheus())
-            .map_err(io_err("metrics.prom"))?;
-        let devices_rows = captures
-            .iter()
-            .enumerate()
-            .map(|(gpu, c)| {
-                let phases = cstf_device::phase_summaries(c)
-                    .iter()
-                    .map(|ph| {
-                        json!({
-                            "phase": ph.phase,
-                            "modeled_s": ph.modeled_s,
-                            "launches": ph.launches,
-                            "flops": ph.flops,
-                            "bytes": ph.bytes,
-                        })
-                    })
-                    .collect::<Vec<_>>();
-                json!({
-                    "gpu": gpu,
-                    "modeled_seconds": c.total_seconds(),
-                    "collective_bytes": c.phase(Phase::Transfer).bytes,
-                    "phases": phases,
-                })
-            })
-            .collect::<Vec<_>>();
-        let devices_doc = json!({ "gpus": gpus, "devices": devices_rows });
-        std::fs::write(root.join("devices.json"), devices_doc.pretty())
-            .map_err(io_err("devices.json"))?;
-        eprintln!("[telemetry artifacts written to {dir}; render with `cstf report {dir}`]");
-    }
-    Ok(())
 }
 
 /// Appends the `cstf_group_*` metric family — what the elastic sharded
@@ -975,30 +876,16 @@ fn add_group_metrics(registry: &Registry, ela: &cstf_core::ElasticityReport) {
 /// one capture per device (index = gpu). Per-kernel aggregation is always
 /// on in the profiler, so no record retention is needed.
 ///
-/// With `inject` (the `CSTF_PERF_INJECT_LAUNCH` test hook), one synthetic
-/// launch is added to device 0 before capture — CI uses this to prove the
-/// perf gate actually fails on counter drift.
+/// With the `CSTF_PERF_INJECT_LAUNCH` test hook set, one synthetic launch
+/// is added to device 0 before the solve — CI uses this to prove the perf
+/// gate actually fails on counter drift.
 fn run_counters(setup: &RunSetup, x: SparseTensor) -> Result<Vec<RunCapture>, CliError> {
-    let inject = std::env::var_os("CSTF_PERF_INJECT_LAUNCH").is_some();
-    let auntf = Auntf::new(x, setup.cfg.clone());
-    if setup.gpus > 1 {
-        let devices: Vec<Device> =
-            (0..setup.gpus).map(|_| Device::new(setup.spec.clone())).collect();
-        let link = LinkModel { bandwidth_gbs: setup.nvlink_gbs, latency_us: 10.0 };
-        let group = DeviceGroup::new(devices, link);
-        auntf.factorize_sharded(&group)?;
-        if inject {
-            inject_synthetic_launch(group.device(0));
-        }
-        Ok(group.devices().iter().map(|d| d.take_run()).collect())
-    } else {
-        let dev = Device::new(setup.spec.clone());
-        auntf.factorize(&dev)?;
-        if inject {
-            inject_synthetic_launch(&dev);
-        }
-        Ok(vec![dev.take_run()])
+    let devices = build_devices(setup, false);
+    if std::env::var_os("CSTF_PERF_INJECT_LAUNCH").is_some() {
+        inject_synthetic_launch(&devices[0]);
     }
+    let auntf = Auntf::new(x, setup.cfg.clone());
+    Ok(solve(&auntf, setup, devices, None, None)?.1)
 }
 
 /// One tiny extra launch — enough to flip exactly one `(phase, kernel,
@@ -1150,26 +1037,27 @@ fn cmd_analyze(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
             "devices": devices_json,
             "admm_ai": ai_json,
         });
-        writeln!(out, "{}", report.pretty()).map_err(|e| CliError::Input(e.to_string()))?;
+        writeln!(out, "{}", report.pretty())?;
         return Ok(());
     }
 
-    let mut w = |s: String| writeln!(out, "{s}").map_err(|e| CliError::Input(e.to_string()));
-    w(format!(
+    writeln!(
+        out,
         "ROOFLINE ATTRIBUTION — {} (ridge {:.2} flop/byte), update {}, rank {}",
         setup.spec.name,
         setup.spec.ridge_intensity(),
         setup.update_name,
         setup.rank
-    ))?;
+    )?;
     for (gpu, capture) in captures.iter().enumerate() {
         if captures.len() > 1 {
-            w(format!("gpu{gpu}:"))?;
+            writeln!(out, "gpu{gpu}:")?;
         }
-        w(format!(
-            "  {:<10} {:<26} {:>4} {:>9} {:>11} {:>11} {:>7}  {}",
-            "PHASE", "KERNEL", "MODE", "LAUNCHES", "FLOPS", "BYTES", "AI", "BOUND"
-        ))?;
+        writeln!(
+            out,
+            "  {:<10} {:<26} {:>4} {:>9} {:>11} {:>11} {:>7}  BOUND",
+            "PHASE", "KERNEL", "MODE", "LAUNCHES", "FLOPS", "BYTES", "AI"
+        )?;
         for r in cstf_device::attribute(&capture.kernels, &setup.spec) {
             let mode = r.key.2.map_or_else(|| "-".to_string(), |m| m.to_string());
             let ai = if r.intensity.is_finite() {
@@ -1177,7 +1065,8 @@ fn cmd_analyze(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
             } else {
                 format!("{:>7}", "inf")
             };
-            w(format!(
+            writeln!(
+                out,
                 "  {:<10} {:<26} {:>4} {:>9} {:>11.3e} {:>11.3e} {}  {}",
                 r.key.0.label(),
                 r.key.1,
@@ -1187,16 +1076,18 @@ fn cmd_analyze(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
                 r.totals.bytes,
                 ai,
                 r.bound.label()
-            ))?;
+            )?;
         }
     }
     if !admm_ai.is_empty() {
-        w(format!(
+        writeln!(
+            out,
             "EQ. 3-5 CHECK (unfused ADMM per-mode UPDATE intensity, tol {:.0}%):",
             ai_tol * 100.0
-        ))?;
+        )?;
         for a in &admm_ai {
-            w(format!(
+            writeln!(
+                out,
                 "  mode {} (I={}): measured AI {:.3}, eq5 {:.3}, deviation {:.1}% [{}] — {}-bound",
                 a.mode,
                 a.i_dim,
@@ -1205,7 +1096,7 @@ fn cmd_analyze(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
                 a.deviation * 100.0,
                 if a.flagged { "DRIFT" } else { "ok" },
                 a.bound
-            ))?;
+            )?;
         }
     }
     Ok(())
@@ -1225,11 +1116,7 @@ fn cmd_perf(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
         .map(String::as_str)
         .ok_or(ArgError::MissingOption("record|compare (positional)"))?;
     if action != "record" && action != "compare" {
-        return Err(CliError::Args(ArgError::BadValue {
-            key: "perf".into(),
-            value: action.into(),
-            expected: "record|compare",
-        }));
+        return Err(bad_value("perf", action, "record|compare"));
     }
     let setup = build_setup(p)?;
     let dataset = dataset_label(p);
@@ -1238,18 +1125,18 @@ fn cmd_perf(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let current = baseline_from_captures(&setup, &dataset, &captures);
     let dir = p.get_or("baseline-dir", "results/baselines");
     let path = std::path::Path::new(dir).join(format!("{}.json", current.file_stem()));
-    let mut w = |s: String| writeln!(out, "{s}").map_err(|e| CliError::Input(e.to_string()));
 
     if action == "record" {
         std::fs::create_dir_all(dir)
             .map_err(|e| CliError::Input(format!("cannot create baseline dir {dir}: {e}")))?;
         std::fs::write(&path, current.to_json_pretty())
             .map_err(|e| CliError::Input(format!("cannot write {}: {e}", path.display())))?;
-        w(format!(
+        writeln!(
+            out,
             "baseline recorded: {} ({} kernel keys)",
             path.display(),
             current.kernels.len()
-        ))?;
+        )?;
         return Ok(());
     }
 
@@ -1290,28 +1177,30 @@ fn cmd_perf(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
             "drift": deltas.iter().filter(|d| d.is_drift()).count(),
             "deltas": rows,
         });
-        w(report.pretty())?;
+        writeln!(out, "{}", report.pretty())?;
     } else {
         for d in &deltas {
-            w(format!(
+            writeln!(
+                out,
                 "  {:<12} {} {}: {} -> {}",
                 d.kind.label(),
                 d.key,
                 d.field,
                 d.baseline,
                 d.current
-            ))?;
+            )?;
         }
     }
     let drifting: Vec<&cstf_device::BaselineDelta> =
         deltas.iter().filter(|d| d.is_drift()).collect();
     if drifting.is_empty() {
         if !p.has_flag("json") {
-            w(format!(
+            writeln!(
+                out,
                 "perf gate OK: {} kernel keys match {} exactly",
                 current.kernels.len(),
                 path.display()
-            ))?;
+            )?;
         }
         Ok(())
     } else {
@@ -1324,63 +1213,6 @@ fn cmd_perf(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
             keys.join(", ")
         )))
     }
-}
-
-/// Writes the four telemetry artifacts into `dir` (created if absent):
-/// `run.json` (the [`RunSummary`]), `events.jsonl` (per-iteration
-/// convergence records), `trace.json` (Perfetto timeline with counter
-/// tracks, iteration instants, MTTKRP→UPDATE flows and host spans) and
-/// `metrics.prom` (Prometheus text exposition).
-#[allow(clippy::too_many_arguments)]
-fn write_telemetry_artifacts(
-    dir: &str,
-    summary: &RunSummary,
-    iterations: &[IterationRecord],
-    capture: &RunCapture,
-    span_records: &[cstf_telemetry::SpanRecord],
-    spec: &DeviceSpec,
-    tiling: Option<&cstf_core::TilingReport>,
-) -> Result<(), CliError> {
-    let root = std::path::Path::new(dir);
-    std::fs::create_dir_all(root)
-        .map_err(|e| CliError::Input(format!("cannot create telemetry dir {dir}: {e}")))?;
-    let io_err = |name: &str| {
-        let name = name.to_string();
-        move |e: std::io::Error| CliError::Input(format!("telemetry artifact {name}: {e}"))
-    };
-
-    std::fs::write(root.join("run.json"), summary.to_json_pretty()).map_err(io_err("run.json"))?;
-
-    let events =
-        std::fs::File::create(root.join("events.jsonl")).map_err(io_err("events.jsonl"))?;
-    convergence::write_jsonl(iterations, std::io::BufWriter::new(events))
-        .map_err(io_err("events.jsonl"))?;
-
-    let ops = cstf_device::ops_from_records(0, &capture.records);
-    let ops_file = std::fs::File::create(root.join("ops.jsonl")).map_err(io_err("ops.jsonl"))?;
-    cstf_device::write_ops_jsonl(&ops, std::io::BufWriter::new(ops_file))
-        .map_err(io_err("ops.jsonl"))?;
-    let dag = cstf_device::analyze(&ops);
-
-    let trace = std::fs::File::create(root.join("trace.json")).map_err(io_err("trace.json"))?;
-    cstf_device::write_full_trace_with_critical_path(
-        &capture.records,
-        &capture.marks,
-        &capture.faults,
-        span_records,
-        &dag.chain_refs(),
-        std::io::BufWriter::new(trace),
-    )
-    .map_err(io_err("trace.json"))?;
-
-    let registry = cstf_device::registry_from_capture(capture, spec);
-    if let Some(t) = tiling {
-        add_tiling_metrics(&registry, t);
-    }
-    add_critical_path_metrics(&registry, &dag);
-    std::fs::write(root.join("metrics.prom"), registry.to_prometheus())
-        .map_err(io_err("metrics.prom"))?;
-    Ok(())
 }
 
 /// Converts the tiled engine's report into its `run.json` mirror; `None`
@@ -1485,24 +1317,21 @@ fn add_tiling_metrics(registry: &Registry, t: &cstf_core::TilingReport) {
     );
 }
 
+/// The artifact directory `report` and `critical-path` read: the DIR
+/// positional, or `--dir`.
+fn dir_arg(p: &ParsedArgs) -> Result<&str, CliError> {
+    let dir = p.positionals.first().or_else(|| p.options.get("dir"));
+    Ok(dir.ok_or(ArgError::MissingOption("dir (or a DIR positional)"))?)
+}
+
 /// `cstf report DIR`: renders the artifacts a `--telemetry` run wrote.
 fn cmd_report(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
-    let dir = p
-        .positionals
-        .first()
-        .map(String::as_str)
-        .or_else(|| p.options.get("dir").map(String::as_str))
-        .ok_or(ArgError::MissingOption("dir (or a DIR positional)"))?;
+    let dir = dir_arg(p)?;
     let root = std::path::Path::new(dir);
-    if !root.exists() {
-        return Err(CliError::Input(format!(
-            "{dir}: no such directory (expected the DIR of a --telemetry run)"
-        )));
-    }
     if !root.is_dir() {
-        return Err(CliError::Input(format!(
-            "{dir}: not a directory (expected the DIR of a --telemetry run)"
-        )));
+        let what = if root.exists() { "not a directory" } else { "no such directory" };
+        let hint = "expected the DIR of a --telemetry run";
+        return Err(CliError::Input(format!("{dir}: {what} ({hint})")));
     }
 
     let run_text = std::fs::read_to_string(root.join("run.json"))
@@ -1518,12 +1347,10 @@ fn cmd_report(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     };
 
     if p.has_flag("json") {
-        writeln!(out, "{}", summary.report_json_line())
-            .map_err(|e| CliError::Input(e.to_string()))?;
+        writeln!(out, "{}", summary.report_json_line())?;
         return Ok(());
     }
-    write!(out, "{}", summary.render_report(&iterations))
-        .map_err(|e| CliError::Input(e.to_string()))?;
+    write!(out, "{}", summary.render_report(&iterations))?;
 
     // devices.json is written by sharded (--gpus N) runs only; when present,
     // append the per-device breakdown table.
@@ -1534,13 +1361,13 @@ fn cmd_report(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
             .get("devices")
             .and_then(|d| d.as_array())
             .ok_or_else(|| CliError::Input(format!("{dir}/devices.json: missing devices")))?;
-        let mut w = |s: String| writeln!(out, "{s}").map_err(|e| CliError::Input(e.to_string()));
-        w(String::new())?;
-        w("PER-DEVICE BREAKDOWN".to_string())?;
-        w(format!(
-            "  {:<6} {:>13} {:>17} {:>13}  {}",
-            "GPU", "MODELED_S", "COLLECTIVE_BYTES", "LAUNCHES", "TOP PHASE"
-        ))?;
+        writeln!(out)?;
+        writeln!(out, "PER-DEVICE BREAKDOWN")?;
+        writeln!(
+            out,
+            "  {:<6} {:>13} {:>17} {:>13}  TOP PHASE",
+            "GPU", "MODELED_S", "COLLECTIVE_BYTES", "LAUNCHES"
+        )?;
         for d in devices {
             let gpu = d.get("gpu").and_then(|v| v.as_u64()).unwrap_or(0);
             let modeled = d.get("modeled_seconds").and_then(|v| v.as_f64()).unwrap_or(0.0);
@@ -1560,10 +1387,11 @@ fn cmd_report(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
                         .and_then(|p| Some(p.get("phase")?.as_str()?.to_string()))
                 })
                 .unwrap_or_else(|| "-".to_string());
-            w(format!(
+            writeln!(
+                out,
                 "  gpu{:<3} {:>13.3e} {:>17.3e} {:>13}  {}",
                 gpu, modeled, coll, launches, top
-            ))?;
+            )?;
         }
     }
     Ok(())
@@ -1575,12 +1403,7 @@ fn cmd_report(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
 /// overlap efficiency, and what-if projections. Every number derives from
 /// the artifact alone (no wall clock), so output is byte-deterministic.
 fn cmd_critical_path(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
-    let dir = p
-        .positionals
-        .first()
-        .map(String::as_str)
-        .or_else(|| p.options.get("dir").map(String::as_str))
-        .ok_or(ArgError::MissingOption("dir (or a DIR positional)"))?;
+    let dir = dir_arg(p)?;
     let root = std::path::Path::new(dir);
     let ops_text = std::fs::read_to_string(root.join("ops.jsonl")).map_err(|e| {
         CliError::Input(format!(
@@ -1662,12 +1485,12 @@ fn cmd_critical_path(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError
         if let Some((spec, s)) = &requested {
             doc["requested_what_if"] = json!({ "spec": spec.clone(), "critical_path_s": s });
         }
-        writeln!(out, "{doc}").map_err(|e| CliError::Input(e.to_string()))?;
+        writeln!(out, "{doc}")?;
         return Ok(());
     }
 
-    let mut w = |s: String| writeln!(out, "{s}").map_err(|e| CliError::Input(e.to_string()));
-    w(format!(
+    writeln!(
+        out,
         "critical path: {:.6e}s across {} of {} ops \
          (serial total {:.6e}s, parallel speedup {:.2}x)",
         dag.critical_path_s,
@@ -1675,14 +1498,14 @@ fn cmd_critical_path(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError
         dag.ops.len(),
         dag.total_modeled_s,
         speedup
-    ))?;
+    )?;
     let on_path = dag
         .critical_path_phases()
         .iter()
         .map(|(ph, s)| format!("{} {:.3e}s", ph.label(), s))
         .collect::<Vec<_>>()
         .join(", ");
-    w(format!("on the path:   {on_path}"))?;
+    writeln!(out, "on the path:   {on_path}")?;
     let pct = |s: f64| {
         if dag.critical_path_s > 0.0 {
             100.0 * s / dag.critical_path_s
@@ -1690,9 +1513,10 @@ fn cmd_critical_path(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError
             0.0
         }
     };
-    w("per-device attribution (of the schedule span):".to_string())?;
+    writeln!(out, "per-device attribution (of the schedule span):")?;
     for d in &dag.devices {
-        w(format!(
+        writeln!(
+            out,
             "  gpu{:<3} busy {:>10.3e}s ({:>5.1}%)  stall {:>10.3e}s ({:>5.1}%)  \
              idle {:>10.3e}s ({:>5.1}%)",
             d.device,
@@ -1702,55 +1526,50 @@ fn cmd_critical_path(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError
             pct(d.stall_s),
             d.idle_s,
             pct(d.idle_s)
-        ))?;
+        )?;
     }
     if !dag.links.is_empty() {
-        w("link overlap:".to_string())?;
+        writeln!(out, "link overlap:")?;
         for l in &dag.links {
-            w(format!(
+            writeln!(
+                out,
                 "  {:<18} {:>6} transfers  raw {:>10.3e}s  exposed {:>10.3e}s  {:>5.1}% hidden",
                 l.name,
                 l.transfers,
                 l.raw_s,
                 l.exposed_s,
                 100.0 * l.overlap_efficiency()
-            ))?;
+            )?;
         }
     }
-    w("what-if projections (modeled critical path):".to_string())?;
-    w(format!("  {:<18} {:>12.6e}s", "baseline", dag.critical_path_s))?;
-    let delta = |s: f64| {
-        if dag.critical_path_s > 0.0 {
-            100.0 * (s - dag.critical_path_s) / dag.critical_path_s
-        } else {
-            0.0
-        }
-    };
+    writeln!(out, "what-if projections (modeled critical path):")?;
+    writeln!(out, "  {:<18} {:>12.6e}s", "baseline", dag.critical_path_s)?;
+    let delta = |s: f64| pct(s - dag.critical_path_s);
     for (label, s) in &standard {
-        w(format!("  {:<18} {:>12.6e}s  ({:+.1}%)", label, s, delta(*s)))?;
+        writeln!(out, "  {:<18} {:>12.6e}s  ({:+.1}%)", label, s, delta(*s))?;
     }
     if let Some((spec, s)) = &requested {
-        w(format!("  {:<18} {:>12.6e}s  ({:+.1}%)  [requested]", spec, s, delta(*s)))?;
+        writeln!(out, "  {:<18} {:>12.6e}s  ({:+.1}%)  [requested]", spec, s, delta(*s))?;
     }
     Ok(())
 }
 
 fn cmd_info(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let x = load_tensor(p)?;
-    let mut w = |s: String| writeln!(out, "{s}").map_err(|e| CliError::Input(e.to_string()));
-    w(format!("shape:    {:?}", x.shape()))?;
-    w(format!("modes:    {}", x.nmodes()))?;
-    w(format!("nnz:      {}", x.nnz()))?;
-    w(format!("density:  {:.3e}", x.density()))?;
-    w(format!("norm:     {:.6e}", x.norm_sq().sqrt()))?;
+    writeln!(out, "shape:    {:?}", x.shape())?;
+    writeln!(out, "modes:    {}", x.nmodes())?;
+    writeln!(out, "nnz:      {}", x.nnz())?;
+    writeln!(out, "density:  {:.3e}", x.density())?;
+    writeln!(out, "norm:     {:.6e}", x.norm_sq().sqrt())?;
     let coo = x.nnz() * (x.nmodes() * 4 + 8);
     let csf = cstf_formats::Csf::from_coo(&x, 0).storage_bytes();
     let hicoo = cstf_formats::HiCoo::from_coo(&x).storage_bytes();
     let alto = cstf_formats::Alto::from_coo(&x).storage_bytes();
     let blco = cstf_formats::Blco::from_coo(&x).storage_bytes();
-    w(format!(
+    writeln!(
+        out,
         "storage:  COO {coo} B, CSF {csf} B, HiCOO {hicoo} B, ALTO {alto} B, BLCO {blco} B"
-    ))?;
+    )?;
     Ok(())
 }
 
@@ -1781,13 +1600,7 @@ fn memstat_footprint(x: &SparseTensor, format: &str) -> Result<Footprint, CliErr
         "hicoo" => merge_components(&mut fp, &cstf_formats::HiCoo::from_coo(x).footprint()),
         "alto" => merge_components(&mut fp, &cstf_formats::Alto::from_coo(x).footprint()),
         "blco" => merge_components(&mut fp, &cstf_formats::Blco::from_coo(x).footprint()),
-        _ => {
-            return Err(CliError::Args(ArgError::BadValue {
-                key: "format".into(),
-                value: format.into(),
-                expected: "coo|csf|csf1|hicoo|alto|blco",
-            }))
-        }
+        _ => return Err(bad_value("format", format, "coo|csf|csf1|hicoo|alto|blco")),
     }
     Ok(fp)
 }
@@ -1813,13 +1626,10 @@ fn memstat_shard_footprint(
 fn parse_memory_budget(p: &ParsedArgs) -> Result<Option<u64>, CliError> {
     match p.options.get("memory-budget") {
         None => Ok(None),
-        Some(text) => text.parse::<u64>().map(Some).map_err(|_| {
-            CliError::Args(ArgError::BadValue {
-                key: "memory-budget".into(),
-                value: text.clone(),
-                expected: "bytes (integer)",
-            })
-        }),
+        Some(text) => text
+            .parse::<u64>()
+            .map(Some)
+            .map_err(|_| bad_value("memory-budget", text, "bytes (integer)")),
     }
 }
 
@@ -1898,11 +1708,7 @@ fn cmd_memstat(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     // Every device holds a full factor replica (the sharded driver
     // all-gathers rows back into each device's copy). Mat::zeros allocates
     // exactly rows*cols doubles, so this is byte-exact, not an estimate.
-    let factor_bytes: u64 = x
-        .shape()
-        .iter()
-        .map(|&d| MemoryFootprint::heap_bytes(&cstf_linalg::Mat::zeros(d, rank)))
-        .sum();
+    let factor_bytes = factor_panel_bytes(x.shape(), rank);
 
     // The sharded driver re-shards per mode sweep (mode m's MTTKRP runs on
     // mode-m nnz-balanced shards), so plan against EVERY mode's sharding and
@@ -1965,7 +1771,6 @@ fn cmd_memstat(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
     let fits_all = rows.iter().all(|r| r.fit.fits);
     let capacity = rows.first().map_or(0, |r| r.fit.capacity_bytes);
 
-    let io = |e: std::io::Error| CliError::Input(e.to_string());
     if p.has_flag("json") {
         let occupancy_json = |o: f64| {
             if o.is_finite() {
@@ -2007,23 +1812,21 @@ fn cmd_memstat(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
         s.push_str("  ],\n");
         s.push_str(&format!("  \"fits_all\": {fits_all}\n"));
         s.push_str("}\n");
-        write!(out, "{s}").map_err(io)?;
+        write!(out, "{s}")?;
     } else {
-        writeln!(out, "tensor:  shape {:?}, nnz {}", x.shape(), x.nnz()).map_err(io)?;
+        writeln!(out, "tensor:  shape {:?}, nnz {}", x.shape(), x.nnz())?;
         let budget_note = if budget.is_some() { " (--memory-budget)" } else { " DRAM" };
         writeln!(
             out,
             "plan:    rank {rank}, gpus {gpus}, device {}, budget {capacity} B{budget_note}",
             spec.name
-        )
-        .map_err(io)?;
-        writeln!(out, "factors: {factor_bytes} B replicated per device").map_err(io)?;
+        )?;
+        writeln!(out, "factors: {factor_bytes} B replicated per device")?;
         writeln!(
             out,
             "  {:<7} {:>14} {:>14} {:>11}  FIT",
             "FORMAT", "TENSOR_B", "REQUIRED_B", "OCCUPANCY"
-        )
-        .map_err(io)?;
+        )?;
         for r in &rows {
             let tensor_bytes = r.per_device.iter().copied().max().unwrap_or(0);
             writeln!(
@@ -2038,18 +1841,16 @@ fn cmd_memstat(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
                 } else {
                     format!("NO (deficit {} B)", r.fit.deficit_bytes)
                 }
-            )
-            .map_err(io)?;
+            )?;
             for (name, bytes) in r.footprint.as_map() {
-                writeln!(out, "    {name:<24} {bytes:>12} B").map_err(io)?;
+                writeln!(out, "    {name:<24} {bytes:>12} B")?;
             }
             if gpus > 1 {
                 writeln!(
                     out,
                     "    per-device tensor bytes (binding mode {}): {:?}",
                     r.binding_mode, r.per_device
-                )
-                .map_err(io)?;
+                )?;
             }
             if !r.fit.fits {
                 match r.suggested_tiles {
@@ -2057,13 +1858,11 @@ fn cmd_memstat(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
                         out,
                         "    remedy: --memory-budget {} --tiles {k} streams {} in {k} tiles",
                         r.fit.capacity_bytes, r.format
-                    )
-                    .map_err(io)?,
+                    )?,
                     None if gpus == 1 => writeln!(
                         out,
                         "    remedy: none — the factor panels alone exceed the budget"
-                    )
-                    .map_err(io)?,
+                    )?,
                     None => {}
                 }
             }
@@ -2104,8 +1903,7 @@ fn cmd_datasets(out: &mut dyn Write) -> Result<(), CliError> {
             e.paper_dims,
             e.paper_nnz,
             e.paper_density()
-        )
-        .map_err(|er| CliError::Input(er.to_string()))?;
+        )?;
     }
     Ok(())
 }
@@ -2116,8 +1914,7 @@ fn cmd_devices(out: &mut dyn Write) -> Result<(), CliError> {
             out,
             "{:<28} {:<16} {:>8.0} GFLOP/s {:>7.0} GB/s  LLC {:>6.1} MiB",
             d.name, d.uarch, d.peak_gflops_f64, d.mem_bw_gbs, d.llc_mib
-        )
-        .map_err(|e| CliError::Input(e.to_string()))?;
+        )?;
     }
     Ok(())
 }
@@ -2145,8 +1942,7 @@ fn cmd_placement(p: &ParsedArgs, out: &mut dyn Write) -> Result<(), CliError> {
         plan.predicted_s,
         plan.all_cpu_s,
         plan.all_gpu_s
-    )
-    .map_err(|e| CliError::Input(e.to_string()))?;
+    )?;
     Ok(())
 }
 
@@ -2686,6 +2482,11 @@ mod tests {
         assert!(events.len() > 20, "expected many kernel events, got {}", events.len());
         assert!(events.iter().any(|e| e["name"] == "mttkrp"));
         assert!(events.iter().any(|e| e["cat"] == "UPDATE"));
+        // The one-device file is the full trace: counter tracks, instants
+        // and flow arrows, like the telemetry trace.json.
+        for ph in ["C", "i", "s", "f"] {
+            assert!(events.iter().any(|e| e["ph"] == ph), "missing {ph} events");
+        }
         let _ = std::fs::remove_file(path);
     }
 
@@ -2861,6 +2662,13 @@ mod tests {
         for dev in v4["devices"].as_array().unwrap() {
             assert!(dev["collective_bytes"].as_f64().unwrap() > 0.0);
         }
+        // `--gpus 0` runs on one device, as `--gpus 1` does.
+        let mut zero: Vec<&str> = base.to_vec();
+        zero.extend(["--gpus", "0"]);
+        let v0: json::Value = json::parse(&run(&zero).unwrap()).unwrap();
+        assert_eq!(v0["gpus"], 1);
+        assert_eq!(v0["factor_checksum"], v1["factor_checksum"]);
+        assert!(v0.get("devices").is_none(), "one device has no per-device rows");
     }
 
     #[test]

@@ -80,8 +80,4 @@ pub use profiler::{
 };
 pub use roofline::{attribute, classify, BoundKind, RooflineRow};
 pub use spec::{DeviceKind, DeviceSpec};
-pub use trace::{
-    critical_path_flow_events, write_chrome_trace, write_full_trace,
-    write_full_trace_with_critical_path, write_multi_device_full_trace,
-    write_multi_device_full_trace_with_critical_path, write_multi_device_trace, write_trace_events,
-};
+pub use trace::{write_full_trace, write_trace, DeviceTrace};

@@ -1,18 +1,19 @@
 //! Chrome-trace / Perfetto export of kernel records.
 //!
-//! Serializes retained [`KernelRecord`]s into the Chrome Trace Event
-//! format (the `chrome://tracing` / Perfetto JSON array form), laying the
-//! modeled kernels out on one timeline track per phase. Useful for eyeball
-//! inspection of where a factorization's modeled time goes.
+//! Serializes the retained [`KernelRecord`]s of one or more devices into
+//! the Chrome Trace Event format (the `chrome://tracing` / Perfetto JSON
+//! array form), laying the modeled kernels out on one timeline track per
+//! phase. Useful for eyeball inspection of where a factorization's
+//! modeled time goes.
 //!
-//! Two writers share the event builder:
-//!
-//! * [`write_chrome_trace`] — complete events only (the original surface);
-//! * [`write_trace_events`] — complete events plus counter tracks for the
-//!   modeled byte and flop rates (`"ph": "C"`), instant events at profiler
-//!   marks such as outer-iteration boundaries (`"ph": "i"`), and flow
-//!   arrows (`"ph": "s"`/`"f"`) linking each MTTKRP kernel to the UPDATE
-//!   kernel that consumes its output.
+//! One writer, [`write_trace`], renders every run: device `d` is process
+//! `d + 1` (named `gpu<d>`) with its complete events, counter tracks for
+//! the modeled byte and flop rates and the per-key flop totals
+//! (`"ph": "C"`), instant events at profiler marks and injected faults
+//! (`"ph": "i"`), and flow arrows (`"ph": "s"`/`"f"`) linking each MTTKRP
+//! kernel to the UPDATE kernel that consumes its output. Critical-path
+//! arrows and a `host` process holding the telemetry spans and heap
+//! counters follow. [`write_full_trace`] is the one-device call.
 //!
 //! All JSON is built through `cstf_telemetry::json` values, so kernel names and
 //! labels are escaped correctly and non-finite rates are clamped to zero
@@ -24,44 +25,29 @@ use cstf_telemetry::json;
 use cstf_telemetry::json::Value;
 use cstf_telemetry::{alloc, SpanRecord};
 
-use crate::profiler::{FaultRecord, KernelRecord, MarkRecord, Phase};
+use crate::profiler::{FaultRecord, KernelRecord, MarkRecord, Phase, RunCapture};
 
-/// Serializes records as a Chrome Trace Event JSON array.
-///
-/// Events are complete-events (`"ph": "X"`) with microsecond timestamps;
-/// kernels are laid end-to-end per phase track in record order (the model
-/// has no concurrency between kernels — the device is one stream, like the
-/// paper's implementation).
-pub fn write_chrome_trace<W: Write>(records: &[KernelRecord], mut w: W) -> std::io::Result<()> {
-    let events = complete_events(records);
-    let text = Value::Array(events).pretty();
-    writeln!(w, "{text}")
+/// One device's share of a trace: its kernel records, profiler marks and
+/// injected faults, borrowed from wherever the run keeps them.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct DeviceTrace<'a> {
+    /// Kernel records in launch order.
+    pub records: &'a [KernelRecord],
+    /// Profiler marks (`outer_iteration`, `reshard`, `device_retired`, ...).
+    pub marks: &'a [MarkRecord],
+    /// Injected device faults.
+    pub faults: &'a [FaultRecord],
 }
 
-/// Serializes records and marks as a full trace: complete events, byte/flop
-/// rate counter tracks, instant events at marks, and MTTKRP→UPDATE flow
-/// arrows.
-pub fn write_trace_events<W: Write>(
-    records: &[KernelRecord],
-    marks: &[MarkRecord],
-    mut w: W,
-) -> std::io::Result<()> {
-    let mut events = complete_events(records);
-    events.extend(counter_events(records));
-    events.extend(key_counter_events(records, 1));
-    events.extend(instant_events(marks));
-    events.extend(flow_events(records));
-    let text = Value::Array(events).pretty();
-    writeln!(w, "{text}")
+impl<'a> From<&'a RunCapture> for DeviceTrace<'a> {
+    fn from(c: &'a RunCapture) -> Self {
+        DeviceTrace { records: &c.records, marks: &c.marks, faults: &c.faults }
+    }
 }
 
-/// Serializes the complete picture of one run: everything
-/// [`write_trace_events`] emits, plus injected-fault instants on their own
-/// track and host-side telemetry spans laid out on their own per-thread
-/// tracks under a second process (`pid` 2). Span timestamps are wall-clock
-/// (relative to the first span), while kernel tracks use modeled time —
-/// Perfetto renders the two processes side-by-side without conflating the
-/// clocks.
+/// Serializes one device's run: [`write_trace`] with a single device
+/// (pid 1, `gpu0`), host spans and heap counters on pid 2, and no
+/// critical-path arrows.
 pub fn write_full_trace<W: Write>(
     records: &[KernelRecord],
     marks: &[MarkRecord],
@@ -69,118 +55,56 @@ pub fn write_full_trace<W: Write>(
     spans: &[SpanRecord],
     w: W,
 ) -> std::io::Result<()> {
-    write_full_trace_with_critical_path(records, marks, faults, spans, &[], w)
+    write_trace(&[DeviceTrace { records, marks, faults }], spans, &[], w)
 }
 
-/// [`write_full_trace`] plus flow arrows along the modeled critical path:
-/// `chain` holds `(device, record index)` pairs in path order (device is
-/// always 0 for a single-device trace, mapped to pid 1).
-pub fn write_full_trace_with_critical_path<W: Write>(
-    records: &[KernelRecord],
-    marks: &[MarkRecord],
-    faults: &[FaultRecord],
-    spans: &[SpanRecord],
-    chain: &[(usize, usize)],
-    mut w: W,
-) -> std::io::Result<()> {
-    let mut events = complete_events(records);
-    events.extend(counter_events(records));
-    events.extend(key_counter_events(records, 1));
-    events.extend(instant_events(marks));
-    events.extend(fault_events(faults));
-    events.extend(flow_events(records));
-    events.extend(critical_path_flow_events(&[records], chain));
-    events.extend(span_events(spans));
-    events.extend(heap_counter_events(1));
-    let text = Value::Array(events).pretty();
-    writeln!(w, "{text}")
-}
-
-/// Serializes a multi-device run: device `d`'s kernels (and their counter
-/// tracks) render under process `d + 1`, named `gpu<d>` through process
-/// metadata, each with the usual per-phase timeline tracks; host-side
-/// telemetry spans render under one further process after the last device.
-/// One trace pid per device is the contract the sharded factorization
-/// driver exposes (DESIGN.md §11).
-pub fn write_multi_device_trace<W: Write>(
-    records_per_device: &[Vec<KernelRecord>],
-    spans: &[SpanRecord],
-    w: W,
-) -> std::io::Result<()> {
-    write_multi_device_full_trace(records_per_device, &[], &[], spans, w)
-}
-
-/// The elastic-run variant of [`write_multi_device_trace`]: in addition to
-/// each device's kernel and counter tracks, renders that device's profiler
-/// marks (`reshard`, `device_retired`, outer-iteration boundaries) and
-/// injected-fault records as instant events on the same per-device pid, so
-/// a chaos-sharded timeline shows *where* each device slowed, faulted,
-/// retired, and where the survivors resharded. `marks_per_device` and
-/// `faults_per_device` may be shorter than `records_per_device` (or empty);
-/// missing entries render nothing for that device.
-pub fn write_multi_device_full_trace<W: Write>(
-    records_per_device: &[Vec<KernelRecord>],
-    marks_per_device: &[Vec<MarkRecord>],
-    faults_per_device: &[Vec<FaultRecord>],
-    spans: &[SpanRecord],
-    w: W,
-) -> std::io::Result<()> {
-    write_multi_device_full_trace_with_critical_path(
-        records_per_device,
-        marks_per_device,
-        faults_per_device,
-        spans,
-        &[],
-        w,
-    )
-}
-
-/// [`write_multi_device_full_trace`] plus flow arrows along the modeled
-/// critical path: `chain` holds `(device, record index)` pairs in path
-/// order, rendered between the op boxes they connect (device `d` → pid
-/// `d + 1`).
-pub fn write_multi_device_full_trace_with_critical_path<W: Write>(
-    records_per_device: &[Vec<KernelRecord>],
-    marks_per_device: &[Vec<MarkRecord>],
-    faults_per_device: &[Vec<FaultRecord>],
+/// Serializes a run on any number of devices as a Chrome Trace Event JSON
+/// array.
+///
+/// Device `d` renders under pid `d + 1`, named `gpu<d>` through process
+/// metadata: complete events (`"ph": "X"`, microsecond timestamps, laid
+/// end-to-end per phase track in record order — each device is one
+/// stream, like the paper's implementation), rate counters, per-key flop
+/// counters, mark and fault instants, then MTTKRP→UPDATE dataflow arrows
+/// (flow ids numbered across the whole trace). `chain` holds the modeled
+/// critical path as `(device, record index)` pairs, rendered as arrows
+/// between the op boxes they connect. Host-side telemetry spans and the
+/// heap counters render under one further process after the last device.
+/// Span timestamps are wall-clock (relative to the first span) while
+/// kernel tracks use modeled time; Perfetto renders the processes
+/// side-by-side without conflating the clocks.
+pub fn write_trace<W: Write>(
+    devices: &[DeviceTrace<'_>],
     spans: &[SpanRecord],
     chain: &[(usize, usize)],
     mut w: W,
 ) -> std::io::Result<()> {
     let mut events = Vec::new();
-    for (d, records) in records_per_device.iter().enumerate() {
+    let mut flow_id = 0;
+    for (d, dev) in devices.iter().enumerate() {
         let pid = d as u32 + 1;
-        let args = json!({ "name": format!("gpu{d}") });
-        events.push(json!({
-            "name": "process_name",
-            "ph": "M",
-            "pid": pid,
-            "args": args,
-        }));
-        events.extend(complete_events_pid(records, pid));
-        events.extend(counter_events_pid(records, pid));
-        if let Some(marks) = marks_per_device.get(d) {
-            events.extend(instant_events_pid(marks, pid));
-        }
-        if let Some(faults) = faults_per_device.get(d) {
-            events.extend(fault_events_pid(faults, pid));
-        }
+        events.push(process_name(pid, &format!("gpu{d}")));
+        events.extend(complete_events(dev.records, pid));
+        events.extend(counter_events(dev.records, pid));
+        events.extend(key_counter_events(dev.records, pid));
+        events.extend(instant_events(dev.marks, pid));
+        events.extend(fault_events(dev.faults, pid));
+        events.extend(flow_events(dev.records, pid, &mut flow_id));
     }
-    let per_device: Vec<&[KernelRecord]> =
-        records_per_device.iter().map(|r| r.as_slice()).collect();
+    let per_device: Vec<&[KernelRecord]> = devices.iter().map(|d| d.records).collect();
     events.extend(critical_path_flow_events(&per_device, chain));
-    let span_pid = records_per_device.len() as u32 + 1;
-    let host_args = json!({ "name": "host" });
-    events.push(json!({
-        "name": "process_name",
-        "ph": "M",
-        "pid": span_pid,
-        "args": host_args,
-    }));
-    events.extend(span_events_pid(spans, span_pid));
-    events.extend(heap_counter_events(span_pid));
+    let host = devices.len() as u32 + 1;
+    events.push(process_name(host, "host"));
+    events.extend(span_events(spans, host));
+    events.extend(heap_counter_events(host));
     let text = Value::Array(events).pretty();
     writeln!(w, "{text}")
+}
+
+/// Process metadata naming `pid` in the viewer's process list.
+fn process_name(pid: u32, name: &str) -> Value {
+    let args = json!({ "name": name });
+    json!({ "name": "process_name", "ph": "M", "pid": pid, "args": args })
 }
 
 /// Counter samples (`"ph": "C"`) for the host heap: the process high-water
@@ -209,11 +133,7 @@ fn heap_counter_events(pid: u32) -> Vec<Value> {
 
 /// Instant events (`"ph": "i"`, process scope) for each injected device
 /// fault, named `fault_<kind>` with the faulted kernel in `args`.
-fn fault_events(faults: &[FaultRecord]) -> Vec<Value> {
-    fault_events_pid(faults, 1)
-}
-
-fn fault_events_pid(faults: &[FaultRecord], pid: u32) -> Vec<Value> {
+fn fault_events(faults: &[FaultRecord], pid: u32) -> Vec<Value> {
     faults
         .iter()
         .map(|f| {
@@ -234,11 +154,7 @@ fn fault_events_pid(faults: &[FaultRecord], pid: u32) -> Vec<Value> {
 
 /// Complete events for host-side spans, one track per recording thread,
 /// timestamped relative to the earliest span.
-fn span_events(spans: &[SpanRecord]) -> Vec<Value> {
-    span_events_pid(spans, 2)
-}
-
-fn span_events_pid(spans: &[SpanRecord], pid: u32) -> Vec<Value> {
+fn span_events(spans: &[SpanRecord], pid: u32) -> Vec<Value> {
     let t0 = spans.iter().map(|s| s.start_ns).min().unwrap_or(0);
     spans
         .iter()
@@ -272,11 +188,7 @@ fn start_times_us(records: &[KernelRecord]) -> Vec<f64> {
     starts
 }
 
-fn complete_events(records: &[KernelRecord]) -> Vec<Value> {
-    complete_events_pid(records, 1)
-}
-
-fn complete_events_pid(records: &[KernelRecord], pid: u32) -> Vec<Value> {
+fn complete_events(records: &[KernelRecord], pid: u32) -> Vec<Value> {
     let starts = start_times_us(records);
     records
         .iter()
@@ -311,11 +223,7 @@ fn complete_events_pid(records: &[KernelRecord], pid: u32) -> Vec<Value> {
 
 /// One counter sample per kernel on the `flop/s` and `bytes/s` tracks: the
 /// kernel's modeled rate, stamped at its start time.
-fn counter_events(records: &[KernelRecord]) -> Vec<Value> {
-    counter_events_pid(records, 1)
-}
-
-fn counter_events_pid(records: &[KernelRecord], pid: u32) -> Vec<Value> {
+fn counter_events(records: &[KernelRecord], pid: u32) -> Vec<Value> {
     let starts = start_times_us(records);
     let mut events = Vec::with_capacity(records.len() * 2);
     for (rec, &ts) in records.iter().zip(&starts) {
@@ -357,11 +265,7 @@ fn key_counter_events(records: &[KernelRecord], pid: u32) -> Vec<Value> {
 }
 
 /// Instant events (`"ph": "i"`, process scope) at each profiler mark.
-fn instant_events(marks: &[MarkRecord]) -> Vec<Value> {
-    instant_events_pid(marks, 1)
-}
-
-fn instant_events_pid(marks: &[MarkRecord], pid: u32) -> Vec<Value> {
+fn instant_events(marks: &[MarkRecord], pid: u32) -> Vec<Value> {
     marks
         .iter()
         .map(|m| {
@@ -379,11 +283,11 @@ fn instant_events_pid(marks: &[MarkRecord], pid: u32) -> Vec<Value> {
 
 /// Flow arrows from each MTTKRP kernel to the next UPDATE-phase kernel:
 /// the dataflow the paper's Algorithm 1 pairs per mode (the MTTKRP result
-/// feeds that mode's constrained update).
-fn flow_events(records: &[KernelRecord]) -> Vec<Value> {
+/// feeds that mode's constrained update). `flow_id` numbers the arrows
+/// across every device of the trace.
+fn flow_events(records: &[KernelRecord], pid: u32, flow_id: &mut u64) -> Vec<Value> {
     let starts = start_times_us(records);
     let mut events = Vec::new();
-    let mut flow_id: u64 = 0;
     for (i, rec) in records.iter().enumerate() {
         if rec.phase != Phase::Mttkrp {
             continue;
@@ -391,15 +295,15 @@ fn flow_events(records: &[KernelRecord]) -> Vec<Value> {
         let Some(j) = (i + 1..records.len()).find(|&j| records[j].phase == Phase::Update) else {
             continue;
         };
-        flow_id += 1;
+        *flow_id += 1;
         let end_of_mttkrp = starts[i] + finite(rec.modeled_s) * 1e6;
         events.push(json!({
             "name": "mttkrp_to_update",
             "cat": "dataflow",
             "ph": "s",
-            "id": flow_id,
+            "id": *flow_id,
             "ts": end_of_mttkrp,
-            "pid": 1,
+            "pid": pid,
             "tid": phase_track(Phase::Mttkrp),
         }));
         events.push(json!({
@@ -407,9 +311,9 @@ fn flow_events(records: &[KernelRecord]) -> Vec<Value> {
             "cat": "dataflow",
             "ph": "f",
             "bp": "e",
-            "id": flow_id,
+            "id": *flow_id,
             "ts": starts[j],
-            "pid": 1,
+            "pid": pid,
             "tid": phase_track(Phase::Update),
         }));
     }
@@ -422,9 +326,8 @@ fn flow_events(records: &[KernelRecord]) -> Vec<Value> {
 /// [`crate::dag::DagAnalysis`]; `records_per_device[d]` must be the same
 /// record stream the complete events were built from, so the arrows land
 /// exactly on the op boxes (pid `d + 1`, the per-device process layout of
-/// [`write_multi_device_full_trace`]; pass a single stream for the
-/// single-device writers, where everything is pid 1).
-pub fn critical_path_flow_events(
+/// [`write_trace`]).
+fn critical_path_flow_events(
     records_per_device: &[&[KernelRecord]],
     chain: &[(usize, usize)],
 ) -> Vec<Value> {
@@ -502,15 +405,26 @@ mod tests {
         }
     }
 
+    /// Writes `records` and `marks` as one device through the one writer
+    /// and returns the parsed event array.
+    fn trace_of(records: &[KernelRecord], marks: &[MarkRecord]) -> Vec<Value> {
+        let mut buf = Vec::new();
+        write_full_trace(records, marks, &[], &[], &mut buf).unwrap();
+        let text = String::from_utf8(buf).unwrap();
+        json::parse(&text).expect("valid JSON").as_array().unwrap().clone()
+    }
+
+    /// The kernel boxes (complete events) of a parsed trace.
+    fn complete(events: &[Value]) -> Vec<&Value> {
+        events.iter().filter(|e| e["ph"] == "X").collect()
+    }
+
     #[test]
     fn trace_is_valid_json_array() {
         let records =
             vec![rec("mttkrp", Phase::Mttkrp, 1e-3), rec("compute_auxiliary", Phase::Update, 2e-3)];
-        let mut buf = Vec::new();
-        write_chrome_trace(&records, &mut buf).unwrap();
-        let text = String::from_utf8(buf).unwrap();
-        let parsed: Value = json::parse(&text).expect("valid JSON");
-        let arr = parsed.as_array().unwrap();
+        let events = trace_of(&records, &[]);
+        let arr = complete(&events);
         assert_eq!(arr.len(), 2);
         assert_eq!(arr[0]["name"], "mttkrp");
         assert_eq!(arr[1]["cat"], "UPDATE");
@@ -520,10 +434,7 @@ mod tests {
 
     #[test]
     fn empty_records_still_valid() {
-        let mut buf = Vec::new();
-        write_chrome_trace(&[], &mut buf).unwrap();
-        let parsed: Value = json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
-        assert_eq!(parsed.as_array().unwrap().len(), 0);
+        assert_eq!(complete(&trace_of(&[], &[])).len(), 0);
     }
 
     #[test]
@@ -536,10 +447,8 @@ mod tests {
     #[test]
     fn names_needing_escapes_still_produce_valid_json() {
         let records = vec![rec("weird\"name\\with\ttokens", Phase::Other, 1e-3)];
-        let mut buf = Vec::new();
-        write_chrome_trace(&records, &mut buf).unwrap();
-        let parsed: Value = json::parse(std::str::from_utf8(&buf).unwrap()).expect("escaped JSON");
-        assert_eq!(parsed[0]["name"], "weird\"name\\with\ttokens");
+        let events = trace_of(&records, &[]);
+        assert_eq!(complete(&events)[0]["name"], "weird\"name\\with\ttokens");
     }
 
     #[test]
@@ -548,12 +457,13 @@ mod tests {
         bad.cost.flops = f64::INFINITY;
         bad.modeled_s = f64::NAN;
         let mut buf = Vec::new();
-        write_trace_events(&[bad], &[], &mut buf).unwrap();
+        write_full_trace(&[bad], &[], &[], &[], &mut buf).unwrap();
         let text = String::from_utf8(buf).unwrap();
         assert!(!text.contains("inf") && !text.contains("NaN"), "no raw non-finite tokens");
         let parsed: Value = json::parse(&text).expect("valid JSON");
-        assert_eq!(parsed[0]["dur"].as_f64().unwrap(), 0.0);
-        assert_eq!(parsed[0]["args"]["flops"].as_f64().unwrap(), 0.0);
+        let events = parsed.as_array().unwrap();
+        assert_eq!(complete(events)[0]["dur"].as_f64().unwrap(), 0.0);
+        assert_eq!(complete(events)[0]["args"]["flops"].as_f64().unwrap(), 0.0);
     }
 
     #[test]
@@ -565,10 +475,7 @@ mod tests {
             seq: 2,
             modeled_s_at: 3e-3,
         }];
-        let mut buf = Vec::new();
-        write_trace_events(&records, &marks, &mut buf).unwrap();
-        let parsed: Value = json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
-        let arr = parsed.as_array().unwrap();
+        let arr = trace_of(&records, &marks);
 
         let phases: Vec<&str> = arr.iter().filter_map(|e| e["ph"].as_str()).collect();
         assert!(phases.contains(&"X"), "complete events present");
@@ -659,10 +566,8 @@ mod tests {
 
     #[test]
     fn multi_device_trace_gives_each_device_its_own_pid() {
-        let per_device = vec![
-            vec![rec("mttkrp_shard", Phase::Mttkrp, 1e-3)],
-            vec![rec("mttkrp_shard", Phase::Mttkrp, 1e-3), rec("gram_syrk", Phase::Gram, 5e-4)],
-        ];
+        let gpu0 = [rec("mttkrp_shard", Phase::Mttkrp, 1e-3)];
+        let gpu1 = [rec("mttkrp_shard", Phase::Mttkrp, 1e-3), rec("gram_syrk", Phase::Gram, 5e-4)];
         let spans = vec![SpanRecord {
             name: "outer_iteration",
             mode: None,
@@ -671,8 +576,10 @@ mod tests {
             start_ns: 100,
             dur_ns: 400,
         }];
+        let devices =
+            [&gpu0[..], &gpu1[..]].map(|r| DeviceTrace { records: r, ..Default::default() });
         let mut buf = Vec::new();
-        write_multi_device_trace(&per_device, &spans, &mut buf).unwrap();
+        write_trace(&devices, &spans, &[], &mut buf).unwrap();
         let parsed: Value = json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
         let arr = parsed.as_array().unwrap();
 
@@ -700,27 +607,22 @@ mod tests {
     #[test]
     fn elastic_multi_device_trace_pins_marks_and_faults_to_their_device() {
         use crate::fault::FaultKind;
-        let per_device = vec![
-            vec![rec("mttkrp_shard", Phase::Mttkrp, 1e-3)],
-            vec![rec("mttkrp_shard", Phase::Mttkrp, 1e-3)],
-            vec![],
-        ];
-        let marks = vec![
-            vec![MarkRecord { label: "reshard", seq: 1, modeled_s_at: 2e-3 }],
-            vec![],
-            vec![MarkRecord { label: "device_retired", seq: 1, modeled_s_at: 1e-3 }],
-        ];
-        let faults = vec![
-            vec![],
-            vec![FaultRecord {
-                kind: FaultKind::Straggler,
-                kernel: "all_reduce",
-                op: 4,
-                modeled_s_at: 5e-4,
-            }],
+        let shard = [rec("mttkrp_shard", Phase::Mttkrp, 1e-3)];
+        let reshard = [MarkRecord { label: "reshard", seq: 1, modeled_s_at: 2e-3 }];
+        let retire = [MarkRecord { label: "device_retired", seq: 1, modeled_s_at: 1e-3 }];
+        let straggler = [FaultRecord {
+            kind: FaultKind::Straggler,
+            kernel: "all_reduce",
+            op: 4,
+            modeled_s_at: 5e-4,
+        }];
+        let devices = [
+            DeviceTrace { records: &shard, marks: &reshard, faults: &[] },
+            DeviceTrace { records: &shard, marks: &[], faults: &straggler },
+            DeviceTrace { records: &[], marks: &retire, faults: &[] },
         ];
         let mut buf = Vec::new();
-        write_multi_device_full_trace(&per_device, &marks, &faults, &[], &mut buf).unwrap();
+        write_trace(&devices, &[], &[], &mut buf).unwrap();
         let parsed: Value = json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
         let arr = parsed.as_array().unwrap();
 
@@ -732,8 +634,31 @@ mod tests {
         let straggle = arr.iter().find(|e| e["name"] == "fault_straggler").expect("fault instant");
         assert_eq!(straggle["pid"], 2); // device 1 → pid 2
         assert_eq!(straggle["cat"], "fault");
-        // Shorter faults vec than devices: device 2 simply has no fault events.
+        // Devices without faults have no fault events.
         assert!(arr.iter().filter(|e| e["cat"] == "fault").count() == 1);
+    }
+
+    #[test]
+    fn every_device_gets_dataflow_arrows_and_key_counters_with_trace_wide_flow_ids() {
+        let stream = [rec("mttkrp_shard", Phase::Mttkrp, 1e-3), rec("admm", Phase::Update, 1e-3)];
+        let devices = [DeviceTrace { records: &stream, ..Default::default() }; 3];
+        let mut buf = Vec::new();
+        write_trace(&devices, &[], &[], &mut buf).unwrap();
+        let parsed: Value = json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
+        let arr = parsed.as_array().unwrap();
+
+        let starts: Vec<(i64, u64)> = arr
+            .iter()
+            .filter(|e| e["cat"] == "dataflow" && e["ph"] == "s")
+            .map(|e| (e["pid"].as_i64().unwrap(), e["id"].as_u64().unwrap()))
+            .collect();
+        assert_eq!(starts, vec![(1, 1), (2, 2), (3, 3)], "one arrow per device, ids unique");
+        for pid in 1..=3 {
+            assert!(
+                arr.iter().any(|e| e["pid"] == pid && e["name"] == "flops[MTTKRP/mttkrp_shard/-]"),
+                "pid {pid} has its key counter track"
+            );
+        }
     }
 
     #[test]
@@ -743,10 +668,7 @@ mod tests {
         let mut b = rec("mttkrp", Phase::Mttkrp, 1e-3);
         b.mode = Some(0);
         let c = rec("cholesky_factor", Phase::Update, 1e-4);
-        let mut buf = Vec::new();
-        write_trace_events(&[a, b, c], &[], &mut buf).unwrap();
-        let parsed: Value = json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
-        let arr = parsed.as_array().unwrap();
+        let arr = trace_of(&[a, b, c], &[]);
 
         let samples: Vec<f64> = arr
             .iter()
@@ -784,9 +706,7 @@ mod tests {
     #[test]
     fn mttkrp_without_downstream_update_emits_no_dangling_flow() {
         let records = vec![rec("mttkrp_tail", Phase::Mttkrp, 1e-3)];
-        let mut buf = Vec::new();
-        write_trace_events(&records, &[], &mut buf).unwrap();
-        let parsed: Value = json::parse(std::str::from_utf8(&buf).unwrap()).unwrap();
-        assert!(parsed.as_array().unwrap().iter().all(|e| e["ph"] != "s" && e["ph"] != "f"));
+        let events = trace_of(&records, &[]);
+        assert!(events.iter().all(|e| e["ph"] != "s" && e["ph"] != "f"));
     }
 }

@@ -432,3 +432,54 @@ fn report_renders_and_emits_regression_line() {
 
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn one_device_and_a_group_write_the_same_artifact_set() {
+    let files = |gpus: &str| {
+        let dir = telemetry_dir(&format!("artifact_set_g{gpus}"));
+        let d = dir.to_str().unwrap().to_string();
+        cli(&[
+            "factorize",
+            "--dataset",
+            "Uber",
+            "--nnz",
+            "2000",
+            "--rank",
+            "3",
+            "--iters",
+            "2",
+            "--seed",
+            "0",
+            "--gpus",
+            gpus,
+            "--telemetry",
+            &d,
+        ]);
+        let mut names: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        names.sort();
+        let prom = std::fs::read_to_string(dir.join("metrics.prom")).expect("metrics.prom");
+        let _ = std::fs::remove_dir_all(&dir);
+        (names, prom)
+    };
+    let (one, one_prom) = files("1");
+    let (group, _) = files("3");
+
+    // The same pipeline writes both; only the per-device breakdown is
+    // group-only.
+    let mut expected = one.clone();
+    expected.push("devices.json".to_string());
+    expected.sort();
+    assert_eq!(group, expected, "g=1 wrote {one:?}");
+    assert!(!one.contains(&"devices.json".to_string()));
+
+    // One device: the per-kernel-key and fault families stay unlabeled.
+    // Only the critical-path `cstf_device_*` gauges, which are per device
+    // by definition, name device 0.
+    let samples = parse_prometheus(&one_prom).expect("exposition format parses");
+    for s in samples.iter().filter(|s| !s.name.starts_with("cstf_device_")) {
+        assert!(!s.labels.contains("device="), "unexpected device label on {}", s.name);
+    }
+}

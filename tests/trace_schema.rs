@@ -2,7 +2,8 @@
 //! `--telemetry` run emits must be loadable by the Chrome trace viewers
 //! (Perfetto, `chrome://tracing`) — a JSON array of objects whose shape
 //! depends on the phase code. Covers single-device and sharded runs,
-//! including the critical-path flow arrows the op-DAG layer adds.
+//! including the critical-path flow arrows the op-DAG layer adds, and the
+//! `--trace FILE` document, which comes from the same writer.
 
 use cstf_cli::{dispatch, parse};
 
@@ -147,6 +148,7 @@ fn sharded_trace_names_one_process_per_device_plus_host() {
         assert!(events.iter().any(|e| e["ph"] == "X" && e["pid"] == d + 1), "gpu{d} has op boxes");
     }
     assert_eq!(proc_name(gpus + 1).as_deref(), Some("host"));
+    assert_dataflow_and_key_counters_on_every_device(&events, gpus);
 
     // The sharded chain spans devices: critical-path arrows exist and
     // only ever point at device pids.
@@ -157,4 +159,87 @@ fn sharded_trace_names_one_process_per_device_plus_host() {
         assert!((1..=gpus).contains(&pid), "flow arrow on device pid, got {pid}");
     }
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Runs `factorize --trace FILE` (no telemetry directory) and loads the
+/// trace it wrote.
+fn run_trace_flag(tag: &str, extra: &[&str]) -> Vec<cstf_telemetry::json::Value> {
+    let path = std::env::temp_dir().join(format!("cstf_trace_schema_flag_{tag}.json"));
+    let _ = std::fs::remove_file(&path);
+    let p = path.to_str().unwrap().to_string();
+    let mut args = vec![
+        "factorize",
+        "--dataset",
+        "Uber",
+        "--nnz",
+        "2000",
+        "--rank",
+        "3",
+        "--iters",
+        "2",
+        "--seed",
+        "0",
+        "--trace",
+        &p,
+    ];
+    args.extend_from_slice(extra);
+    cli(&args);
+    let text = std::fs::read_to_string(&path).expect("--trace file written");
+    let _ = std::fs::remove_file(&path);
+    let parsed = cstf_telemetry::json::parse(&text).expect("trace is valid JSON");
+    parsed.as_array().expect("trace is a JSON array").clone()
+}
+
+/// The `process_name` metadata of `pid`, if any.
+fn process_name(events: &[cstf_telemetry::json::Value], pid: u64) -> Option<String> {
+    events
+        .iter()
+        .find(|e| e["ph"] == "M" && e["name"] == "process_name" && e["pid"] == pid)
+        .map(|e| e["args"]["name"].as_str().unwrap().to_string())
+}
+
+/// Every device pid `1..=gpus` carries MTTKRP→UPDATE dataflow arrows and
+/// per-key `flops[phase/kernel/mode]` counter tracks.
+fn assert_dataflow_and_key_counters_on_every_device(
+    events: &[cstf_telemetry::json::Value],
+    gpus: u64,
+) {
+    for pid in 1..=gpus {
+        let on_pid = |e: &&cstf_telemetry::json::Value| e["pid"] == pid;
+        assert!(
+            events.iter().filter(on_pid).any(|e| e["cat"] == "dataflow" && e["ph"] == "s"),
+            "pid {pid} has dataflow arrows"
+        );
+        assert!(
+            events.iter().filter(on_pid).any(|e| {
+                e["ph"] == "C" && e["name"].as_str().is_some_and(|n| n.starts_with("flops["))
+            }),
+            "pid {pid} has flops[...] counter tracks"
+        );
+    }
+}
+
+#[test]
+fn trace_flag_single_device_is_schema_valid_and_names_its_processes() {
+    let events = run_trace_flag("single", &[]);
+    validate(&events);
+    assert_eq!(process_name(&events, 1).as_deref(), Some("gpu0"));
+    assert_eq!(process_name(&events, 2).as_deref(), Some("host"));
+    for ph in ["X", "C", "i", "s", "f"] {
+        assert!(events.iter().any(|e| e["ph"] == ph), "missing {ph} events");
+    }
+    assert_dataflow_and_key_counters_on_every_device(&events, 1);
+    assert!(events.iter().any(|e| e["cat"] == "critical_path"), "critical-path arrows present");
+}
+
+#[test]
+fn trace_flag_sharded_is_schema_valid_with_dataflow_on_every_device() {
+    let gpus = 3u64;
+    let events = run_trace_flag("sharded", &["--gpus", "3"]);
+    validate(&events);
+    for d in 0..gpus {
+        assert_eq!(process_name(&events, d + 1), Some(format!("gpu{d}")));
+    }
+    assert_eq!(process_name(&events, gpus + 1).as_deref(), Some("host"));
+    assert_dataflow_and_key_counters_on_every_device(&events, gpus);
 }
